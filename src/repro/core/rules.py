@@ -139,9 +139,10 @@ def _parse_atoms(text: str) -> tuple[Atom, ...]:
 
 def parse_rule(text: str, rid: str) -> Rule:
     """Parse ``b1(..), b2(..) -> h(..)``."""
-    if "->" not in text:
-        raise ValueError(f"rule missing '->': {text!r}")
-    body_s, head_s = text.split("->")
+    parts = text.split("->")
+    if len(parts) != 2:
+        raise ValueError(f"rule needs exactly one '->': {text!r}")
+    body_s, head_s = parts
     heads = _parse_atoms(head_s)
     if len(heads) != 1:
         raise ValueError(f"rules must have a single head atom: {text!r}")

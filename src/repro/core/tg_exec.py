@@ -25,8 +25,8 @@ import time
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..engine.chase import EngineStats, _prepare
 from ..engine.facts import FactStore
+from ..engine.fixpoint import EngineStats, prepare
 from ..engine.rule_exec import execute_rule
 from .eg import EG, EGNode
 from .rules import Program
@@ -84,8 +84,8 @@ def eval_tg_spark(
     ``stats.triggers`` the total rule executions' bindings (equal to the
     raw derived rows for linear single-head rules)."""
     t0 = time.perf_counter()
-    store = _prepare(spark, program, base)
-    stats = EngineStats(engine="glog-linear")
+    store = prepare(spark, program, base)
+    stats = EngineStats()
     g.recompute_depths()
     node_df: dict[int, DataFrame] = {}
     per_pred: dict[str, list[DataFrame]] = {}

@@ -1,10 +1,12 @@
 """TGmat (paper Algorithm 2): instance-dependent TG construction
 interleaved with distributed evaluation.
 
-Each round k materializes the level-k slice of the full EG Φ_P^k
-(Section 4): one node per (rule, pivot position) whose delta source is
-non-empty, with the k-compatible parent combinations of Def. 9 collapsed
-into per-position parent *groups* (DESIGN.md §3):
+TGmat is a policy over the shared round loop
+(:func:`repro.engine.fixpoint.fixpoint`): each round k it plans the
+level-k slice of the full EG Φ_P^k (Section 4), one node per (rule, pivot
+position) whose delta source is non-empty, with the k-compatible parent
+combinations of Def. 9 collapsed into per-position parent *groups*
+(DESIGN.md §3):
 
 - positions left of the pivot read the full instance (nodes of depth < k),
 - the pivot reads the round-(k-1) delta (nodes of depth k-1),
@@ -15,14 +17,14 @@ fact is enumerated exactly once.  This partitioning *is* the TG advantage
 over the chase baselines, which either re-enumerate the full instance
 (naive) or enumerate overlapping delta combinations (semi-naive).
 
-Optimizations (paper Section 6):
+Optimizations (paper Section 6), applied while planning:
 - ``use_min`` — minDatalog (Def. 19): a candidate node whose EG-rewriting
   is contained in a kept node's rewriting is dropped before evaluation;
 - ``use_ruleexec`` — ruleExec (Def. 23, m=1): a covering body atom is
   anti-joined against the already-derived head facts before the body join.
 
-Unlike the chase baselines, redundancy is filtered once per round with a
-single n-way union + anti-join per predicate (paper §7.2 C1).
+Unlike the semi-naive chase, redundancy is filtered only once per round,
+by the loop's single n-way union + anti-join per predicate (paper §7.2 C1).
 Existential rules are supported with the restricted-chase criterion (used
 for ChaseBench); the optimizations auto-skip them, as in the paper.
 """
@@ -33,12 +35,12 @@ from dataclasses import dataclass
 
 from pyspark.sql import SparkSession
 
-from ..engine.chase import EngineStats, _prepare
-from ..engine.facts import FactStore, distinct_new, materialize_deltas
-from ..engine.rule_exec import covering_atom, execute_rule, prefilter_source
+from ..engine.facts import FactStore
+from ..engine.fixpoint import EngineStats, fixpoint
+from ..engine.rule_exec import covering_atom, prefilter_source
 from .eg import EG, EGNode
 from .rewrite import eg_rewriting, find_dominating
-from .rules import Program, Rule
+from .rules import Program
 
 
 @dataclass
@@ -58,79 +60,62 @@ def tgmat(
     count_triggers: bool = False,
     max_rounds: int = 100,
 ) -> TGmatResult:
-    t0 = time.perf_counter()
-    store = _prepare(spark, program, base)
-    label = "glog-" + ("m+r" if use_min and use_ruleexec else "m" if use_min else "noopt")
-    stats = EngineStats(engine=label)
     g = EG()
     nodes_by_pred: dict[str, list[EGNode]] = {}
     rewritings: dict[int, list] = {}
     kept: list[EGNode] = []
     min_cost = 0.0
     ruleexec_applications = 0
-
-    # old[pred]: facts of depth < k-1; delta: facts added in round k-1.
-    # F (store) = old ∪ delta.  EDB predicates never change after round 0.
-    old = {p: store.df(p) for p in program.arities}
-    delta: dict[str, object] = {}
-    nonempty: set[str] = set()
-
-    def idb_positions(rule: Rule) -> list[int]:
-        return [i for i, a in enumerate(rule.body) if a.pred in program.idb]
+    # adaptive caps: on wide programs the planning budget per node shrinks
+    # so opt cost stays a small runtime fraction (paper Table 8b) — capped
+    # nodes are kept, never dropped
+    caps = dict(max_disjuncts=8, max_atoms=8) if len(program.rules) > 60 else {}
+    # F (store) = old ∪ delta: old holds the facts of depth < k-1, i.e. F
+    # as round k-1 saw it, which ``seen`` kept.  EDB predicates never
+    # change after round 0.
+    seen: dict[str, object] = {}
 
     def parent_group(pred: str, max_depth: int) -> list[EGNode]:
         return [n for n in nodes_by_pred.get(pred, []) if n.depth <= max_depth]
 
-    for rnd in range(1, max_rounds + 1):
-        # ---- compute this round's candidate nodes -----------------------
+    def plan(k, store, delta):
+        nonlocal seen, min_cost, ruleexec_applications
+        old, seen = seen, {p: store.df(p) for p in program.arities}
+        # ---- this round's candidate nodes -------------------------------
         candidates: list[tuple[EGNode, list]] = []  # (node, sources)
-        if rnd == 1:
-            for rule in program:
-                if idb_positions(rule):
-                    continue  # needs intensional facts; first fires later
-                node = g.add(rule, {})
-                candidates.append((node, [store.df(a.pred) for a in rule.body]))
-        else:
-            for rule in program:
-                idbs = idb_positions(rule)
-                for i in idbs:
-                    if rule.body[i].pred not in nonempty:
-                        continue
-                    parents = {}
-                    sources = []
-                    for j, a in enumerate(rule.body):
-                        if j not in idbs:
-                            sources.append(store.df(a.pred))
-                            continue
-                        if j < i:
-                            parents[j] = parent_group(a.pred, rnd - 2)
-                            sources.append(store.df(a.pred))
-                        elif j == i:
-                            parents[j] = [
-                                n
-                                for n in nodes_by_pred.get(a.pred, [])
-                                if n.depth == rnd - 2
-                            ]
-                            sources.append(delta[a.pred])
-                        else:
-                            parents[j] = parent_group(a.pred, rnd - 3)
-                            sources.append(old[a.pred])
-                    node = g.add(rule, parents)
-                    candidates.append((node, sources))
+        for rule in program:
+            idbs = [i for i, a in enumerate(rule.body) if a.pred in program.idb]
+            if k == 1:
+                if not idbs:  # rules over intensional facts first fire later
+                    node = g.add(rule, {})
+                    candidates.append((node, [store.df(a.pred) for a in rule.body]))
+                continue
+            for i in idbs:
+                if rule.body[i].pred not in delta:
+                    continue
+                parents = {}
+                sources = []
+                for j, a in enumerate(rule.body):
+                    if j not in idbs:
+                        sources.append(store.df(a.pred))
+                    elif j < i:
+                        parents[j] = parent_group(a.pred, k - 2)
+                        sources.append(store.df(a.pred))
+                    elif j == i:
+                        parents[j] = [
+                            n for n in nodes_by_pred.get(a.pred, []) if n.depth == k - 2
+                        ]
+                        sources.append(delta[a.pred])
+                    else:
+                        parents[j] = parent_group(a.pred, k - 3)
+                        sources.append(old[a.pred])
+                candidates.append((g.add(rule, parents), sources))
 
         # ---- minDatalog: drop candidates dominated by kept nodes --------
         accepted: list[tuple[EGNode, list]] = []
         for node, sources in candidates:
             if use_min and not node.rule.is_existential:
                 tm = time.perf_counter()
-                # adaptive caps: on wide programs the planning budget per
-                # node shrinks so opt cost stays a small runtime fraction
-                # (paper Table 8b) — capped nodes are kept, never dropped
-                caps = (
-                    dict(max_disjuncts=8, max_atoms=8)
-                    if len(program.rules) > 60
-                    else {}
-                )
                 rewritings[node.nid] = eg_rewriting(node, **caps)
                 dominator = find_dominating(node, kept, rewritings)
                 min_cost += time.perf_counter() - tm
@@ -141,8 +126,7 @@ def tgmat(
             nodes_by_pred.setdefault(node.rule.head.pred, []).append(node)
             accepted.append((node, sources))
 
-        # ---- evaluate accepted nodes ------------------------------------
-        per_pred: dict[str, list] = {}
+        # ---- ruleExec pre-filter, then hand the nodes to the loop -------
         for node, sources in accepted:
             rule = node.rule
             if (
@@ -150,50 +134,17 @@ def tgmat(
                 and not rule.is_existential
                 and (ci := covering_atom(rule)) is not None
             ):
-                existing = store.df(rule.head.pred)
                 sources = list(sources)
                 sources[ci] = prefilter_source(
-                    sources[ci], rule.body[ci], rule, existing
+                    sources[ci], rule.body[ci], rule, store.df(rule.head.pred)
                 )
                 ruleexec_applications += 1
-            ex = execute_rule(
-                rule,
-                sources,
-                existing=store.df(rule.head.pred),
-                variant="restricted" if rule.is_existential else "datalog",
-                null_tag=f"{rnd}_n{node.nid}",
-                count_triggers=count_triggers,
-            )
-            stats.rule_execs += 1
-            if count_triggers:
-                stats.triggers += ex.n_triggers
-            per_pred.setdefault(rule.head.pred, []).append(ex.head_df)
+            yield rule, sources, f"{k}_n{node.nid}"
 
-        # ---- one n-way redundancy filter per predicate per round --------
-        lazy: dict[str, object] = {}
-        for pred, dfs in per_pred.items():
-            d = dfs[0]
-            for x in dfs[1:]:
-                d = d.unionByName(x)
-            lazy[pred] = distinct_new(d, store.df(pred))
-        new_delta: dict[str, object] = {}
-        new_nonempty: set[str] = set()
-        for pred, (d, n) in materialize_deltas(lazy).items():
-            stats.derived += n
-            new_delta[pred] = d
-            new_nonempty.add(pred)
-        # shift windows: old <- F, F <- F ∪ delta
-        old = {p: store.df(p) for p in program.arities}
-        for pred, d in new_delta.items():
-            store.add(pred, d)
-        delta, nonempty = new_delta, new_nonempty
-        stats.rounds = rnd
-        if not nonempty:
-            break
-    else:
-        raise RuntimeError(f"TGmat hit max_rounds={max_rounds}")
-
-    stats.wall_s = time.perf_counter() - t0
+    store, stats = fixpoint(
+        "tgmat", spark, program, base, plan, existentials="restricted",
+        count_triggers=count_triggers, max_rounds=max_rounds,
+    )
     stats.tg_nodes, stats.tg_edges, stats.tg_depth = g.sizes()
     stats.opt_cost_s = {
         "minDatalog_s": round(min_cost, 4),

@@ -1,2 +1,3 @@
 """Substrate: a Datalog/existential-rule engine over Spark DataFrames —
-fact storage, join-based rule execution, chase baselines, ρDF runners."""
+fact storage, join-based rule execution, the shared round loop and the
+chase baselines."""

@@ -1,7 +1,9 @@
 """Chase baselines over Spark (paper Section 3 + the engines of Section 7).
 
-Three configurations on one code base, so differences measure algorithmic
-choices, not storage (see DESIGN.md §4 for the substitution rationale):
+Each baseline is a policy over the shared round loop
+(:func:`repro.engine.fixpoint.fixpoint`), so differences measure
+algorithmic choices, not storage (see DESIGN.md §4 for the substitution
+rationale):
 
 - ``seminaive_chase`` — "VLog-like": semi-naive evaluation, **restricted**
   chase for existential rules, redundancy filtering **right after each
@@ -15,44 +17,17 @@ choices, not storage (see DESIGN.md §4 for the substitution rationale):
   each round's delta, emulating the commercial engine's heavier per-round
   bookkeeping.
 
-All engines stop when a round derives nothing new and eagerly checkpoint
-each round's delta to keep Catalyst plans bounded.
+The ρDF baselines of Table 6 are the same configurations under other
+names (``harness.runners.ENGINES``): WebPIE-like is the naive chase with
+the re-sort, Inferray-like the semi-naive chase.
 """
 from __future__ import annotations
-
-import time
-from dataclasses import dataclass, field
 
 from pyspark.sql import SparkSession
 
 from ..core.rules import Program
-from .facts import FactStore, distinct_new, empty_df, materialize_deltas
-from .rule_exec import execute_rule
-
-
-@dataclass
-class EngineStats:
-    """Uniform measurements reported by every engine run."""
-
-    engine: str = ""
-    rounds: int = 0
-    triggers: int = 0          # total body instantiations (-counted runs only)
-    derived: int = 0           # new IDB facts added to the KB
-    rule_execs: int = 0
-    wall_s: float = 0.0
-    tg_nodes: int = 0
-    tg_edges: int = 0
-    tg_depth: int = 0
-    opt_cost_s: dict = field(default_factory=dict)
-
-
-def _prepare(spark: SparkSession, program: Program, base: FactStore) -> FactStore:
-    store = base.copy()
-    store.register_arities(program.arities)
-    for p in program.idb:
-        if not store.has(p):
-            store.set(p, empty_df(spark, program.arities[p]))
-    return store
+from .facts import FactStore
+from .fixpoint import EngineStats, fixpoint
 
 
 def naive_chase(
@@ -65,43 +40,15 @@ def naive_chase(
     max_rounds: int = 100,
 ) -> tuple[FactStore, EngineStats]:
     """Skolem chase, full-instance rule execution each round."""
-    t0 = time.perf_counter()
-    store = _prepare(spark, program, base)
-    stats = EngineStats(engine="com" if extra_sort else "rdfox")
-    for rnd in range(1, max_rounds + 1):
-        per_pred: dict[str, list] = {}
+
+    def plan(k, store, delta):
         for rule in program:
-            ex = execute_rule(
-                rule,
-                [store.df(a.pred) for a in rule.body],
-                variant="skolem" if rule.is_existential else "datalog",
-                count_triggers=count_triggers,
-            )
-            stats.rule_execs += 1
-            if count_triggers:
-                stats.triggers += ex.n_triggers
-            per_pred.setdefault(rule.head.pred, []).append(ex.head_df)
-        lazy: dict = {}
-        for pred, dfs in per_pred.items():
-            delta = dfs[0]
-            for d in dfs[1:]:
-                delta = delta.unionByName(d)
-            delta = distinct_new(delta, store.df(pred))
-            if extra_sort:
-                delta = delta.orderBy(delta.columns)
-            lazy[pred] = delta
-        any_new = False
-        for pred, (d, n) in materialize_deltas(lazy).items():
-            any_new = True
-            stats.derived += n
-            store.add(pred, d)  # view over the round's shared checkpoint
-        stats.rounds = rnd
-        if not any_new:
-            break
-    else:
-        raise RuntimeError(f"naive chase hit max_rounds={max_rounds}")
-    stats.wall_s = time.perf_counter() - t0
-    return store, stats
+            yield rule, [store.df(a.pred) for a in rule.body], ""
+
+    return fixpoint(
+        "naive_chase", spark, program, base, plan, existentials="skolem",
+        count_triggers=count_triggers, max_rounds=max_rounds, resort=extra_sort,
+    )
 
 
 def seminaive_chase(
@@ -113,58 +60,25 @@ def seminaive_chase(
     max_rounds: int = 100,
 ) -> tuple[FactStore, EngineStats]:
     """Semi-naive restricted chase with per-rule redundancy filtering."""
-    t0 = time.perf_counter()
-    store = _prepare(spark, program, base)
-    stats = EngineStats(engine="vlog")
-    # Δ per predicate; round 1 treats all EDB facts as the delta
-    delta = {p: store.df(p) for p in program.edb if store.has(p)}
-    nonempty = {p for p in delta if not delta[p].isEmpty()}
-    for rnd in range(1, max_rounds + 1):
-        new_per_pred: dict[str, list] = {}
+
+    def plan(k, store, delta):
+        if k == 1:  # round 1 treats all (non-empty) EDB relations as the delta
+            edb = {p: store.df(p) for p in program.edb if store.has(p)}
+            delta = {p: d for p, d in edb.items() if not d.isEmpty()}
         for rule in program:
-            pivots = [
-                i for i, a in enumerate(rule.body) if a.pred in nonempty
-            ]
+            pivots = [i for i, a in enumerate(rule.body) if a.pred in delta]
             # round 1: Δ == full for every EDB predicate, so one execution
             # covers the rule (pivot enumeration would duplicate it exactly)
-            if rnd == 1:
+            if k == 1:
                 pivots = pivots[:1]
             for i in pivots:
                 sources = [
                     delta[a.pred] if j == i else store.df(a.pred)
                     for j, a in enumerate(rule.body)
                 ]
-                ex = execute_rule(
-                    rule,
-                    sources,
-                    existing=store.df(rule.head.pred),
-                    variant="restricted" if rule.is_existential else "datalog",
-                    null_tag=f"{rnd}_{rule.rid}_{i}",
-                    count_triggers=count_triggers,
-                )
-                stats.rule_execs += 1
-                if count_triggers:
-                    stats.triggers += ex.n_triggers
-                # per-rule redundancy filtering (VLog behaviour): dedup the
-                # execution's output against the current KB immediately
-                fresh = distinct_new(ex.head_df, store.df(rule.head.pred))
-                new_per_pred.setdefault(rule.head.pred, []).append(fresh)
-        lazy = {}
-        for pred, dfs in new_per_pred.items():
-            d = dfs[0]
-            for x in dfs[1:]:
-                d = x.unionByName(d)
-            lazy[pred] = distinct_new(d, store.df(pred))
-        delta, nonempty = {}, set()
-        for pred, (d, n) in materialize_deltas(lazy).items():
-            stats.derived += n
-            store.add(pred, d)
-            delta[pred] = d
-            nonempty.add(pred)
-        stats.rounds = rnd
-        if not nonempty:
-            break
-    else:
-        raise RuntimeError(f"semi-naive chase hit max_rounds={max_rounds}")
-    stats.wall_s = time.perf_counter() - t0
-    return store, stats
+                yield rule, sources, f"{k}_{rule.rid}_{i}"
+
+    return fixpoint(
+        "seminaive_chase", spark, program, base, plan, existentials="restricted",
+        count_triggers=count_triggers, max_rounds=max_rounds, per_rule_dedup=True,
+    )

@@ -90,3 +90,17 @@ def test_restricted_blocks_invention_on_spark(runs):
     ref_nulls = {f for f in ref.facts if f[0] == "E" and any(is_null(t) for t in f[1])}
     sn_nulls = {f for f in sn if f[0] == "E" and any(is_null(t) for t in f[1])}
     assert len(sn_nulls) == len(ref_nulls) == 2  # a-race null + b's null
+
+
+@pytest.mark.parametrize("engine", [naive_chase, seminaive_chase, tgmat])
+def test_max_rounds_names_engine_and_last_delta(spark, engine):
+    """A non-terminating program fails loudly: the error names the engine
+    and the last round's new facts per predicate."""
+    p = parse_program("s(X) -> n(X)\nn(X) -> E(X,Z)\nE(X,Y) -> n(Y)")
+    store = FactStore.from_facts(spark, [("s", ("a",))])
+    store.register_arities(p.arities)
+    with pytest.raises(RuntimeError) as err:
+        engine(spark, p, store, max_rounds=3)
+    msg = str(err.value)
+    assert msg.startswith(f"{engine.__name__} hit max_rounds=3;")
+    assert "{'n': 1}" in msg

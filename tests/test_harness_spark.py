@@ -22,7 +22,9 @@ def lubm1():
     return lubm("L", 1)
 
 
-@pytest.mark.parametrize("engine", ["vlog", "rdfox", "com", "glog-mr"])
+@pytest.mark.parametrize(
+    "engine", ["vlog", "rdfox", "com", "webpie", "inferray", "glog-mr"]
+)
 def test_run_engine_smoke(spark, lubm1, engine):
     r = run_engine(spark, engine, lubm1)
     assert r.engine == engine and r.scenario == "LUBM-L"

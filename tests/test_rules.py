@@ -1,4 +1,6 @@
 """Rule/program parsing and classification (paper Section 3 conventions)."""
+import re
+
 import pytest
 
 from repro.core.rules import (
@@ -45,14 +47,14 @@ def test_parse_rule_existential():
     assert r.is_existential and r.is_linear
 
 
-def test_parse_rule_missing_arrow():
-    with pytest.raises(ValueError):
-        parse_rule("R(X,Y), R(Y,Z)", "x")
-
-
-def test_parse_rule_multi_head_rejected():
-    with pytest.raises(ValueError):
-        parse_rule("a(X) -> B(X), C(X)", "x")
+@pytest.mark.parametrize(
+    "bad",
+    ["R(X,Y), R(Y,Z)", "a(X) -> B(X), C(X)", "a(X) -> b(X) -> c(X)"],
+    ids=["missing-arrow", "multi-head", "two-arrows"],
+)
+def test_parse_rule_bad(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        parse_rule(bad, "x")
 
 
 def test_program_edb_idb_split():
