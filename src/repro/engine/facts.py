@@ -7,6 +7,8 @@ trigger comparisons measure the algorithms, not the storage layer.
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -127,15 +129,44 @@ class FactStore:
         return out
 
 
+# Multiplicity column of a counted round: the number of raw rows behind a
+# deduplicated fact.  A rule execution's raw head rows are its triggers
+# (``project_head`` does not deduplicate), so a round's trigger count is
+# the summed multiplicity of its rows before redundancy filtering.
+MULT = "_m"
+# ``_pred`` tag of tally rows in the round checkpoint; no predicate name
+# starts with '#' (``core.rules``)
+TALLY = "#tally"
+
+
 def distinct_new(delta: DataFrame, existing: DataFrame) -> DataFrame:
-    """Rows of ``delta`` not already in ``existing`` (set-semantics dedup)."""
-    cols = delta.columns
-    return delta.dropDuplicates().join(existing, on=cols, how="left_anti")
+    """Rows of ``delta`` not already in ``existing`` (set-semantics dedup).
+    Rows weighted by a multiplicity column ``MULT`` merge into one fact that
+    keeps the summed weight."""
+    cols = [c for c in delta.columns if c != MULT]
+    d = multiplicities(delta) if MULT in delta.columns else delta.dropDuplicates()
+    return d.join(existing, on=cols, how="left_anti")
+
+
+def multiplicities(delta: DataFrame) -> DataFrame:
+    """Each distinct fact of ``delta`` with its summed ``MULT``: the aggregate
+    ``distinct_new`` runs, so Spark shuffles the rows once for both."""
+    cols = [c for c in delta.columns if c != MULT]
+    return delta.groupBy(cols).agg(F.sum(MULT).alias(MULT))
+
+
+class Deltas(dict):
+    """``{pred: (delta_df, n_rows)}`` for the non-empty deltas; ``triggers``
+    is the summed ``MULT`` of the tallies materialized with them, and
+    ``table`` the checkpoint all of them are views of."""
+
+    triggers = 0
+    table: DataFrame | None = None
 
 
 def materialize_deltas(
-    deltas: dict[str, DataFrame]
-) -> dict[str, tuple[DataFrame, int]]:
+    deltas: dict[str, DataFrame], tallies: Sequence[DataFrame] = ()
+) -> Deltas:
     """Materialize all predicates' round deltas with ONE Spark action.
 
     Iterative engines must truncate lineage and learn each delta's size
@@ -145,38 +176,41 @@ def materialize_deltas(
     localCheckpoint once, and read all sizes from a single tagged count.
     Per-predicate views are filters over the shared checkpoint (no action).
 
-    Returns {pred: (delta_df, n_rows)} for non-empty deltas only.
+    A counted round passes deltas that carry ``MULT`` and ``tallies``: the
+    ``multiplicities`` of its raw rows.  Their rows join the checkpoint
+    under the ``TALLY`` tag, and the same grouped count sums their ``MULT``.
     """
-    deltas = {p: d for p, d in deltas.items()}
-    if not deltas:
-        return {}
-    arity = {p: len(d.columns) for p, d in deltas.items()}
+    parts = list(deltas.items()) + [(TALLY, t.select(MULT)) for t in tallies]
+    if not parts:
+        return Deltas()
+    arity = {p: len([c for c in d.columns if c != MULT]) for p, d in parts}
     max_ar = max(arity.values())
-    parts = []
-    for pred, df in deltas.items():
-        cols = [F.col(c) for c in df.columns] + [
-            F.lit("") for _ in range(max_ar - len(df.columns))
+    u = None
+    for pred, df in parts:
+        cols = [F.col(c) for c in df.columns if c != MULT] + [
+            F.lit("") for _ in range(max_ar - arity[pred])
         ]
-        parts.append(
-            df.select([c.alias(f"a{i}") for i, c in enumerate(cols)]).withColumn(
-                "_pred", F.lit(pred)
-            )
-        )
-    u = parts[0]
-    for p in parts[1:]:
-        u = u.unionByName(p)
-    u = u.localCheckpoint(eager=True)
-    counts = {
-        r["_pred"]: r["n"]
-        for r in u.groupBy("_pred").agg(F.count(F.lit(1)).alias("n")).collect()
-    }
-    out: dict[str, tuple[DataFrame, int]] = {}
-    for pred, n in counts.items():
-        if n:
-            out[pred] = (
-                u.where(F.col("_pred") == pred).select(
-                    [f"a{i}" for i in range(arity[pred])]
-                ),
-                n,
-            )
+        part = df.select(
+            [c.alias(f"a{i}") for i, c in enumerate(cols)] + ([MULT] if tallies else [])
+        ).withColumn("_pred", F.lit(pred))
+        u = part if u is None else u.unionByName(part)
+    return materialize_tagged(u, arity)
+
+
+def materialize_tagged(u: DataFrame, arity: dict[str, int]) -> Deltas:
+    """Checkpoint ``u``, whose rows carry their predicate in ``_pred``, and
+    count the rows per predicate with one grouped count: the second half
+    of ``materialize_deltas``.  Views over the checkpoint keep the first
+    ``arity[pred]`` columns."""
+    out = Deltas()
+    out.table = u = u.localCheckpoint(eager=True)
+    aggs = [F.count(F.lit(1)).alias("n")] + (
+        [F.sum(MULT).alias("m")] if MULT in u.columns else []
+    )
+    for r in u.groupBy("_pred").agg(*aggs).collect():
+        pred, n = r["_pred"], r["n"]
+        if pred == TALLY:
+            out.triggers = r["m"]
+        elif n:
+            out[pred] = (u.where(F.col("_pred") == pred).select(fact_cols(arity[pred])), n)
     return out

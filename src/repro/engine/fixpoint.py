@@ -8,7 +8,8 @@ supplies a *plan*: for round k, the rule executions to run, each as
 ``(rule, per-atom sources, null tag)``.
 
 Every round's delta is checkpointed with one shared action
-(``materialize_deltas``), which keeps Catalyst plans bounded.
+(``materialize_deltas``), which keeps Catalyst plans bounded.  The same
+action counts the round's triggers: the raw head rows of its executions.
 """
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from ..core.rules import Program, Rule
-from .facts import FactStore, distinct_new, empty_df, materialize_deltas
+from .facts import MULT, FactStore, distinct_new, empty_df, materialize_deltas, multiplicities
 from .rule_exec import execute_rule
 
 # plan(k, store, delta) -> the executions of round k; ``delta`` holds the
@@ -36,10 +38,11 @@ class EngineStats:
     """Uniform measurements reported by every engine run."""
 
     rounds: int = 0
-    triggers: int = 0          # total body instantiations (-counted runs only)
+    triggers: int = 0          # total body instantiations (0 unless counted)
     derived: int = 0           # new IDB facts added to the KB
     rule_execs: int = 0
     wall_s: float = 0.0
+    clean_s: float = 0.0       # Definition 5 runs: cleaning, part of wall_s
     tg_nodes: int = 0
     tg_edges: int = 0
     tg_depth: int = 0
@@ -76,6 +79,12 @@ def fixpoint(
     one n-way union + anti-join per predicate; ``per_rule_dedup`` also
     filters each execution's output against the KB right away, and
     ``resort`` globally re-sorts each round's delta.
+
+    ``count_triggers`` weights every head row with ``MULT`` = 1 and tallies
+    the multiplicities at the first dedup (per execution under
+    ``per_rule_dedup``, else per predicate), which shares its aggregate;
+    ``materialize_deltas`` sums the tallies in the round's one action.
+    Counting off, the round's plan has no extra column or job.
     """
     t0 = time.perf_counter()
     store = prepare(spark, program, base)
@@ -84,26 +93,33 @@ def fixpoint(
     sizes: dict[str, int] = {}
     for k in range(1, max_rounds + 1):
         per_pred: dict[str, list[DataFrame]] = {}
+        tallies: list[DataFrame] = []  # multiplicities at the first dedup
         for rule, sources, null_tag in plan(k, store, delta):
             head = rule.head.pred
-            ex = execute_rule(
+            out = execute_rule(
                 rule,
                 sources,
                 existing=store.df(head),
                 variant=existentials if rule.is_existential else "datalog",
                 null_tag=null_tag,
-                count_triggers=count_triggers,
-            )
+            ).head_df
             stats.rule_execs += 1
             if count_triggers:
-                stats.triggers += ex.n_triggers
-            out = distinct_new(ex.head_df, store.df(head)) if per_rule_dedup else ex.head_df
+                out = out.withColumn(MULT, F.lit(1))
+            if per_rule_dedup:
+                if count_triggers:
+                    tallies.append(multiplicities(out))
+                out = distinct_new(out, store.df(head))
             per_pred.setdefault(head, []).append(out)
         lazy = {}
         for pred, dfs in per_pred.items():
-            d = distinct_new(functools.reduce(DataFrame.unionByName, dfs), store.df(pred))
+            u = functools.reduce(DataFrame.unionByName, dfs)
+            if count_triggers and not per_rule_dedup:
+                tallies.append(multiplicities(u))
+            d = distinct_new(u, store.df(pred))
             lazy[pred] = d.orderBy(d.columns) if resort else d
-        new = materialize_deltas(lazy)
+        new = materialize_deltas(lazy, tallies)
+        stats.triggers += new.triggers
         delta = {pred: d for pred, (d, _) in new.items()}
         sizes = {pred: n for pred, (_, n) in new.items()}
         for pred, d in delta.items():

@@ -153,11 +153,14 @@ def project_head(
 
 @dataclass
 class RuleExec:
-    """One rule execution: derived head facts + the trigger count (-1 when
-    counting was disabled)."""
+    """One rule execution: its head facts, one row per trigger.
+
+    ``n_triggers`` is always -1: triggers are counted by the round's one
+    materialization (``engine.fixpoint``), never here.  The field stays
+    because the benchmark's tracer (``perfbench/spans.py``) reads it."""
 
     head_df: DataFrame
-    n_triggers: int
+    n_triggers: int = -1
 
 
 def execute_rule(
@@ -167,9 +170,9 @@ def execute_rule(
     existing: DataFrame | None = None,
     variant: str = "datalog",
     null_tag: str = "",
-    count_triggers: bool = False,
 ) -> RuleExec:
-    """Execute ``rule`` with per-atom ``sources``.
+    """Execute ``rule`` with per-atom ``sources``; lazy, runs no Spark job
+    (except the restricted check of a head without frontier variables).
 
     ``variant``: 'datalog' (no existential handling), 'skolem',
     'restricted' (active triggers only, fresh nulls; needs ``existing``),
@@ -179,9 +182,5 @@ def execute_rule(
     if variant == "restricted" and rule.is_existential:
         assert existing is not None
         b = restricted_filter(b, rule, existing)
-    n = -1
-    if count_triggers:
-        b = b.localCheckpoint(eager=True)
-        n = b.count()
     ex_mode = "null" if variant in ("restricted", "null") else "skolem"
-    return RuleExec(project_head(b, rule, ex_mode=ex_mode, null_tag=null_tag), n)
+    return RuleExec(project_head(b, rule, ex_mode=ex_mode, null_tag=null_tag))

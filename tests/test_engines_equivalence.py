@@ -10,7 +10,7 @@ from repro.core.tgmat import tgmat
 from repro.engine.chase import naive_chase, seminaive_chase
 from repro.engine.facts import FactStore
 
-from tests.helpers import DATALOG_CASES, prog
+from tests.helpers import DATALOG_CASES, TC_TEXT, prog
 
 ENGINES = ["seminaive", "naive", "glog-noopt", "glog-m", "glog-mr"]
 
@@ -115,3 +115,43 @@ def test_rounds_match_reference(results, name):
     # (+1 terminating round with no derivation)
     assert runs["seminaive"][1].rounds in (ref.rounds, ref.rounds + 1)
     assert runs["glog-noopt"][1].rounds in (ref.rounds, ref.rounds + 1)
+
+
+def test_trigger_counts_by_hand(spark):
+    """TC over the chain a->b->c->d (e = ab, bc, cd), counted by hand.
+    r1 = e(X,Y) -> R(X,Y); r2 = R(X,Y), R(Y,Z) -> R(X,Z).
+
+    naive chase, every rule over the whole store each round:
+      1: r1 3, r2 0 (R empty)                          new ab bc cd
+      2: r1 3, r2 2 (ab.bc, bc.cd)                     new ac bd
+      3: r1 3, r2 4 (ab.bc, ab.bd, bc.cd, ac.cd)       new ad
+      4: r1 3, r2 4 (as in 3; ad joins nothing)        nothing new
+      = 22
+    semi-naive chase, pivot atom on the delta, the other on the full store
+    (its per-rule dedup does not change the count):
+      1: r1 3 (round 1 runs each rule once over EDB)
+      2: Δ = ab bc cd: pivot 0 2, pivot 1 2
+      3: Δ = ac bd: pivot 0 1 (ac.cd), pivot 1 1 (ab.bd)
+      4: Δ = ad: 0
+      = 9
+    TGmat without optimizations, left of the pivot the full store, the
+    pivot the delta, right of it the store before the previous round:
+      1: r1 3
+      2: Δ = ab bc cd: pivot 0 joins an empty R, 0; pivot 1 2
+      3: Δ = ac bd: pivot 0 over ab bc cd 1 (ac.cd); pivot 1 1 (ab.bd)
+      4: Δ = ad: 0
+      = 7
+    """
+    p = prog(TC_TEXT)
+    store = FactStore.from_facts(
+        spark, [("e", ("a", "b")), ("e", ("b", "c")), ("e", ("c", "d"))]
+    )
+    store.register_arities(p.arities)
+    got = {
+        "naive": naive_chase(spark, p, store, count_triggers=True)[1].triggers,
+        "seminaive": seminaive_chase(spark, p, store, count_triggers=True)[1].triggers,
+        "glog-noopt": tgmat(
+            spark, p, store, use_min=False, use_ruleexec=False, count_triggers=True
+        ).stats.triggers,
+    }
+    assert got == {"naive": 22, "seminaive": 9, "glog-noopt": 7}

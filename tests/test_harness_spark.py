@@ -1,8 +1,11 @@
 """Harness tests: runners produce consistent RunResults; table builders
 emit the expected row structure at tiny scale."""
+import pandas as pd
 import pytest
 
+from repro.bench_data import Scenario
 from repro.bench_data.lubm import lubm
+from repro.core.rules import parse_program
 from repro.harness.metrics import RunResult, peak_rss_mb
 from repro.harness.runners import base_store, run_engine, run_linear_tg
 
@@ -47,7 +50,8 @@ def test_unknown_engine_raises(spark, lubm1):
 def test_run_linear_tg_fields(spark):
     r = run_linear_tg(spark, lubm("LI", 1))
     assert r.extra["comp_s"] > 0 and r.extra["reason_s"] > 0
-    assert r.extra["total_w_cleaning_s"] >= r.extra["comp_s"]
+    assert r.extra["total_w_cleaning_s"] >= r.extra["total_wo_cleaning_s"]
+    assert r.extra["total_wo_cleaning_s"] >= r.extra["comp_s"]
     assert r.extra["derived_wo_cleaning"] >= r.derived
     assert r.tg_nodes > 0 and r.tg_depth >= 1
 
@@ -61,3 +65,11 @@ def test_trigger_counting_toggles(spark, lubm1):
 def test_base_store_registers_all_predicates(spark, lubm1):
     store = base_store(spark, lubm1)
     assert set(lubm1.program.arities) <= set(store.arities)
+
+
+def test_base_store_rejects_table_of_wrong_width(spark):
+    sc = Scenario(
+        "bad", parse_program("e(X,Y) -> R(X,Y)"), {"e": pd.DataFrame([("a", "b", "c")])}
+    )
+    with pytest.raises(ValueError, match="arity clash for e"):
+        base_store(spark, sc)

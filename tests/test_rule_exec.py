@@ -3,6 +3,10 @@
 The TPC-H-lite tables from synth_data double as EDB relations so every
 binding/projection path is checked against plain SQL.
 """
+import time
+import uuid
+
+import duckdb
 import pytest
 from pyspark.sql import functions as F
 
@@ -50,10 +54,9 @@ def test_rule_join_matches_sql_oracle(spark, store):
 
 
 def test_trigger_count_matches_sql_join_cardinality(spark, store):
+    # project_head does not deduplicate: one head row per trigger
     rule = parse_rule("li(O,P), ord(O,C) -> Bought(C,P)", "r")
-    ex = execute_rule(rule, [store.df("li"), store.df("ord")], count_triggers=True)
-    import duckdb
-
+    ex = execute_rule(rule, [store.df("li"), store.df("ord")])
     con = duckdb.connect()
     con.register("li", store.df("li").toPandas())
     con.register("ord", store.df("ord").toPandas())
@@ -61,7 +64,51 @@ def test_trigger_count_matches_sql_join_cardinality(spark, store):
         "SELECT count(*) FROM li l JOIN ord o ON l.a0 = o.a0"
     ).fetchone()[0]
     con.close()
-    assert ex.n_triggers == expected
+    assert ex.head_df.count() == expected
+
+
+def jobs_submitted(spark, fn) -> list[int]:
+    """The Spark jobs ``fn`` submits, read from statusTracker.  ``fn`` runs
+    in a job group of its own; a marker job after it is seen only once the
+    listener bus, which reports jobs in submission order, has passed every
+    job of ``fn``."""
+    sc, group = spark.sparkContext, f"lazy-{uuid.uuid4().hex}"
+    tracker = sc.statusTracker()
+    try:
+        sc.setJobGroup(group, "laziness guard")
+        fn()
+        sc.setJobGroup(group + "-marker", "marker")
+        spark.range(1).collect()
+        deadline = time.monotonic() + 60
+        while not tracker.getJobIdsForGroup(group + "-marker"):
+            assert time.monotonic() < deadline, "marker job never reported"
+            time.sleep(0.05)
+    finally:
+        for key in ("jobGroup.id", "job.description", "job.interruptOnCancel"):
+            sc.setLocalProperty(f"spark.{key}", None)
+    return tracker.getJobIdsForGroup(group)
+
+
+# The one known exception: 'restricted' on a head without frontier
+# variables (``p(X) -> Flag(Z)``) asks ``witness.isEmpty()`` in
+# ``restricted_filter`` (ROADMAP item 3b).
+@pytest.mark.parametrize(
+    "text,variant",
+    [
+        ("p(X), q(X,Y) -> Q(Y)", "datalog"),
+        ("p(X), q(X,Y) -> Q(Y,Z)", "skolem"),
+        ("p(X), q(X,Y) -> Q(Y,Z)", "restricted"),
+        ("p(X), q(X,Y) -> Q(Y,Z)", "null"),
+    ],
+)
+def test_execute_rule_submits_no_job(spark, text, variant):
+    p = df_from_facts(spark, [("a",), ("b",)], 1)
+    q = df_from_facts(spark, [("a", "x"), ("b", "y")], 2)
+    existing = df_from_facts(spark, [("x", "w")], 2)
+    rule = parse_rule(text, "r")
+    assert jobs_submitted(
+        spark, lambda: execute_rule(rule, [p, q], existing=existing, variant=variant)
+    ) == []
 
 
 def test_atom_bindings_constant_filter(spark):

@@ -54,7 +54,7 @@ def test_linear_tg_equals_chase_on_scenario(spark, name):
     sc = LINEAR_SCENARIOS[name]()
     base = base_store(spark, sc)
     g = min_linear(tglinear(sc.program), sc.program)
-    cleaned, _ = eval_tg_spark(spark, g, sc.program, base, cleaning=True)
+    cleaned, _ = eval_tg_spark(spark, g, sc.program, base)
     ref, _ = seminaive_chase(spark, sc.program, base)
     assert null_free(cleaned.to_fact_set(sc.program.idb)) == null_free(
         ref.to_fact_set(sc.program.idb)
