@@ -1,7 +1,8 @@
 """Table 5 benchmarks: trigger-counted runs (VLog vs GLog variants).
 
-Counting forces a materialization per rule execution, so this runs at
-'test' scale; the full-scale numbers come from jobs/table5_triggers.py.
+Triggers are counted in each round's one materialization, so counting
+adds no Spark job; this runs at 'test' scale to keep the suite short, and
+the full-scale numbers come from jobs/table5_triggers.py.
 """
 import pytest
 

@@ -5,10 +5,14 @@ against, and the substrate of Algorithm 1 (``tglinear`` chases each
 canonical fact of H(P) and reads off the chase graph).  Variants:
 
 - ``restricted``: a trigger fires only if no extension of it maps the head
-  into the current instance (homomorphism check; the VLog default);
+  into the current instance (the VLog default);
 - ``skolem``: existentials become deterministic skolem terms, facts are
   added under set semantics (the RDFox/COM default);
 - for Datalog programs all variants coincide (paper Section 3).
+
+Each round indexes the instance once; the round's triggers and the
+restricted check (the head matched with the trigger's frontier bound) are
+both searches of ``unify.match`` over that index.
 
 Instances here are Python sets of ``(pred, args)`` tuples — never use this
 on real data; the Spark engines live in ``repro.engine``.
@@ -18,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rules import Program, Rule
-from .terms import fresh_null, skolem
-from .unify import Fact, homomorphisms
+from .terms import fresh_null, is_var, skolem
+from .unify import Fact, fact_index, match
 
 
 @dataclass
@@ -40,44 +44,17 @@ class ChaseResult:
     triggers: int = 0
 
 
-def _instantiate_head(rule: Rule, h: dict[str, str], variant: str) -> Fact:
-    """h_s(head(r)): extend the trigger with fresh nulls (restricted) or
-    skolem terms (skolem) for the existential variables."""
+def instantiate_head(rule: Rule, h: dict[str, str], variant: str) -> Fact:
+    """h_s(head(r)): extend the trigger with skolem terms (``skolem``) or
+    fresh nulls (any other variant) for the existential variables."""
     ext = dict(h)
-    if rule.existentials:
-        frontier_vals = tuple(h[v] for v in rule.frontier)
-        for z in rule.existentials:
-            ext[z] = (
-                skolem(rule.rid, z, frontier_vals)
-                if variant == "skolem"
-                else fresh_null()
-            )
+    for z in rule.existentials:
+        ext[z] = (
+            skolem(rule.rid, z, tuple(h[v] for v in rule.frontier))
+            if variant == "skolem"
+            else fresh_null()
+        )
     return (rule.head.pred, tuple(ext.get(t, t) for t in rule.head.args))
-
-
-def _head_satisfied(rule: Rule, h: dict[str, str], facts: set[Fact]) -> bool:
-    """Restricted-chase check: does some extension of h map head(r) into
-    the instance?  Single-atom heads -> a direct pattern match."""
-    pred = rule.head.pred
-    frontier = {v: h[v] for v in rule.frontier}
-    for p, args in facts:
-        if p != pred:
-            continue
-        bound: dict[str, str] = dict(frontier)
-        ok = True
-        for t, g in zip(rule.head.args, args):
-            if t in bound:
-                if bound[t] != g:
-                    ok = False
-                    break
-            elif t in rule.existentials:
-                bound[t] = g
-            elif t != g:  # constant in head
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 def chase(
@@ -95,12 +72,17 @@ def chase(
     triggers = 0
     for rnd in range(1, max_rounds + 1):
         new: set[Fact] = set()
+        idx = fact_index(facts)
         for rule in program:
-            for h in homomorphisms(rule.body, facts):
+            head = [(rule.head.pred, rule.head.args)]
+            body = [(a.pred, a.args) for a in rule.body]
+            for h in match(body, idx, {}, is_var):
                 triggers += 1
-                if variant == "restricted" and _head_satisfied(rule, h, facts):
-                    continue
-                derived = _instantiate_head(rule, h, variant)
+                if variant == "restricted":
+                    frontier = {v: h[v] for v in rule.frontier}
+                    if next(match(head, idx, frontier, is_var), None) is not None:
+                        continue
+                derived = instantiate_head(rule, h, variant)
                 if derived in facts or derived in new:
                     continue
                 src = tuple(

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 
-NULL_PREFIX = "_:n"
-SKOLEM_PREFIX = "_:sk"
+NULL_MARK = "_:"  # shared by labelled nulls and skolem terms
+NULL_PREFIX = f"{NULL_MARK}n"
+SKOLEM_PREFIX = f"{NULL_MARK}sk"
 
 _fresh_counter = itertools.count()
 
@@ -30,7 +31,7 @@ def is_var(t: str) -> bool:
 
 def is_null(t: str) -> bool:
     """True for any ground non-constant (labelled null or skolem term)."""
-    return t.startswith("_:")
+    return t.startswith(NULL_MARK)
 
 
 def is_const(t: str) -> bool:

@@ -30,6 +30,7 @@ from ..engine.fixpoint import EngineStats, prepare
 from ..engine.rule_exec import execute_rule
 from .eg import EG, EGNode
 from .rules import Program
+from .terms import NULL_MARK
 
 
 def subsume_nulls(df: DataFrame) -> DataFrame:
@@ -41,7 +42,7 @@ def subsume_nulls(df: DataFrame) -> DataFrame:
     mask = F.concat_ws(
         "",
         *[
-            F.when(F.col(c).startswith("_:"), F.lit("1")).otherwise(F.lit("0"))
+            F.when(F.col(c).startswith(NULL_MARK), F.lit("1")).otherwise(F.lit("0"))
             for c in cols
         ],
     )

@@ -14,10 +14,10 @@
 """
 from __future__ import annotations
 
-from .chase_small import chase
+from .chase_small import chase, instantiate_head
 from .eg import EG, EGNode
 from .rules import Program
-from .terms import fresh_null
+from .terms import is_null
 from .unify import Fact, fact_homomorphism, homomorphisms
 
 
@@ -79,15 +79,10 @@ def eval_tg_small(g: EG, base: set[Fact]) -> dict[EGNode, set[Fact]]:
         source: set[Fact] = base if not node.parents else set().union(
             *(inst[p] for p in node.parents.get(0, []))
         )
-        derived: set[Fact] = set()
-        for h in homomorphisms(rule.body, source):
-            ext = dict(h)
-            for z in rule.existentials:
-                ext[z] = fresh_null()
-            derived.add(
-                (rule.head.pred, tuple(ext.get(t, t) for t in rule.head.args))
-            )
-        inst[node] = derived
+        inst[node] = {
+            instantiate_head(rule, h, "null")
+            for h in homomorphisms(rule.body, source)
+        }
     return inst
 
 
@@ -95,7 +90,7 @@ def _ancestor_nulls(node: EGNode, inst: dict[EGNode, set[Fact]]) -> frozenset[st
     nulls = set()
     for a in node.ancestors():
         for _, args in inst.get(a, ()):  # nulls introduced upstream of node
-            nulls.update(t for t in args if t.startswith("_:"))
+            nulls.update(t for t in args if is_null(t))
     return frozenset(nulls)
 
 
@@ -123,7 +118,7 @@ def _profile(node: EGNode, insts) -> tuple:
         for p, args in sorted(inst[node]):
             facts.append(
                 (p, tuple(
-                    f"*{ren.setdefault(t, len(ren))}" if t.startswith("_:") else t
+                    f"*{ren.setdefault(t, len(ren))}" if is_null(t) else t
                     for t in args
                 ))
             )

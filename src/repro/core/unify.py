@@ -4,16 +4,23 @@ These run driver-side on *small* structures only: canonical single-fact
 instances (Algorithm 1 / minLinear), EG-rewritings (minDatalog), and test
 fixtures.  The distributed reasoning path never calls into this module.
 
+One matcher, ``match``, is the only backtracking search over an instance
+in ``repro.core``: triggers of a rule body (``homomorphisms``, the chase,
+Definition 5), preserving homomorphisms between fact sets (Def. 12),
+Chandra–Merlin containment (Def. 19) and the restricted chase's
+satisfaction check all call it, differing only in which terms may bind.
+
 Facts are ``(pred, (t1, ..., tn))`` tuples of ground strings.
 A CQ is ``CQ(head_vars, body_atoms)``; a UCQ is a list of CQs.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .rules import Atom
-from .terms import is_const, is_var
+from .terms import is_null, is_var
 
 Fact = tuple[str, tuple[str, ...]]
 
@@ -65,13 +72,51 @@ def apply_sub(atom: Atom, sub: dict[str, str]) -> Atom:
     return Atom(atom.pred, tuple(sub.get(a, a) for a in atom.args))
 
 
-# ------------------------------------------------- homomorphisms (triggers)
+# ------------------------------------------------------------ matching
 
-def _index(facts: set[Fact] | list[Fact]) -> dict[str, list[tuple[str, ...]]]:
-    idx: dict[str, list[tuple[str, ...]]] = {}
+Index = dict[str, list[tuple[str, ...]]]
+
+
+def fact_index(facts) -> Index:
+    """Per-predicate index of a fact collection, in iteration order."""
+    idx: Index = {}
     for p, args in facts:
         idx.setdefault(p, []).append(args)
     return idx
+
+
+def match(
+    patterns: list[tuple[str, tuple[str, ...]]],
+    index: Index,
+    binding: dict[str, str],
+    movable: Callable[[str], bool],
+) -> Iterator[dict[str, str]]:
+    """Every extension of ``binding`` that maps each ``(pred, args)``
+    pattern onto a fact of ``index``, found by backtracking in pattern
+    order.  Terms for which ``movable`` holds bind (consistently); all
+    others must equal the fact's term.  Yields a fresh dict per match."""
+    return _extend(patterns, index, movable, 0, dict(binding))
+
+
+def _extend(patterns, index, movable, i, sub):
+    """``match`` from pattern ``i`` on; ``sub`` is never mutated, so each
+    candidate fact extends a copy and no binding needs undoing."""
+    if i == len(patterns):
+        yield sub
+        return
+    pred, args = patterns[i]
+    for tup in index.get(pred, ()):
+        local: dict[str, str] = {}
+        for t, g in zip(args, tup):
+            if not movable(t):
+                if t != g:
+                    break
+            elif (bound := sub.get(t, local.get(t))) is None:
+                local[t] = g
+            elif bound != g:
+                break
+        else:
+            yield from _extend(patterns, index, movable, i + 1, sub | local)
 
 
 def homomorphisms(
@@ -81,37 +126,9 @@ def homomorphisms(
 ) -> list[dict[str, str]]:
     """All substitutions of the atoms' variables into ground terms such
     that every instantiated atom is a fact — i.e. all triggers of a body
-    in a small instance.  Backtracking over a per-predicate index."""
-    idx = _index(facts)
-    out: list[dict[str, str]] = []
-
-    def extend(i: int, sub: dict[str, str]) -> None:
-        if i == len(atoms):
-            out.append(dict(sub))
-            return
-        a = atoms[i]
-        for tup in idx.get(a.pred, ()):  # candidate facts
-            local: dict[str, str] = {}
-            ok = True
-            for t, g in zip(a.args, tup):
-                if is_var(t):
-                    bound = sub.get(t, local.get(t))
-                    if bound is None:
-                        local[t] = g
-                    elif bound != g:
-                        ok = False
-                        break
-                elif t != g:
-                    ok = False
-                    break
-            if ok:
-                sub.update(local)
-                extend(i + 1, sub)
-                for k in local:
-                    del sub[k]
-
-    extend(0, dict(seed or {}))
-    return out
+    in a small instance."""
+    patterns = [(a.pred, a.args) for a in atoms]
+    return list(match(patterns, fact_index(facts), seed or {}, is_var))
 
 
 def fact_homomorphism(
@@ -121,37 +138,11 @@ def fact_homomorphism(
     themselves, nulls map to any ground term — except nulls in ``fixed``,
     which must map to themselves (paper Def. 12 "preserving").  Returns one
     witness mapping over the nulls of ``src``, or None."""
-    idx = _index(dst)
-    src_l = sorted(src)
 
-    def extend(i: int, m: dict[str, str]) -> dict[str, str] | None:
-        if i == len(src_l):
-            return dict(m)
-        p, args = src_l[i]
-        for tup in idx.get(p, ()):  # try to map fact i onto tup
-            local: dict[str, str] = {}
-            ok = True
-            for t, g in zip(args, tup):
-                if is_const(t) or t in fixed:
-                    if t != g:
-                        ok = False
-                        break
-                else:  # movable null
-                    bound = m.get(t, local.get(t))
-                    if bound is None:
-                        local[t] = g
-                    elif bound != g:
-                        ok = False
-                        break
-            if ok:
-                m.update(local)
-                if (res := extend(i + 1, m)) is not None:
-                    return res
-                for k in local:
-                    del m[k]
-        return None
+    def movable(t: str) -> bool:
+        return is_null(t) and t not in fixed
 
-    return extend(0, {})
+    return next(match(sorted(src), fact_index(dst), {}, movable), None)
 
 
 def instances_equivalent(a: set[Fact], b: set[Fact]) -> bool:
@@ -182,10 +173,11 @@ def cq_contained(q1: CQ, q2: CQ) -> bool:
     } | {v: f"⟨{tag}:{v}⟩" for v in q1.head if is_var(v)}
     canon = [(a.pred, tuple(frozen.get(t, t) for t in a.args)) for a in q1.body]
     target = tuple(frozen.get(t, t) for t in q1.head)
-    for h in homomorphisms(q2.body, canon):
-        if tuple(h.get(t, t) for t in q2.head) == target:
-            return True
-    return False
+    patterns = [(a.pred, a.args) for a in q2.body]
+    return any(
+        tuple(h.get(t, t) for t in q2.head) == target
+        for h in match(patterns, fact_index(canon), {}, is_var)
+    )
 
 
 def ucq_contained(u1: list[CQ], u2: list[CQ]) -> bool:

@@ -16,7 +16,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.rules import Atom, Rule
-from ..core.terms import is_var
+from ..core.terms import NULL_PREFIX, SKOLEM_PREFIX, is_var
 
 
 def vcol(v: str) -> str:
@@ -54,24 +54,12 @@ def body_bindings(atoms: tuple[Atom, ...], sources: list[DataFrame]) -> DataFram
 
 
 def head_witness(existing: DataFrame, head: Atom, keep_vars) -> DataFrame:
-    """Project the existing head-predicate facts to the head's variables:
-    filter constant positions and repeated-variable equalities, keep one
-    column per variable in ``keep_vars``.  Used for the restricted-chase
+    """The head's bindings in the existing head-predicate facts, projected
+    to ``keep_vars`` and deduplicated.  Used for the restricted-chase
     satisfaction check (frontier variables) and the Def. 23 pre-filter
     (all head variables)."""
-    first_pos: dict[str, str] = {}
-    for i, t in enumerate(head.args):
-        c = f"a{i}"
-        if is_var(t):
-            if t in first_pos:
-                existing = existing.where(F.col(c) == F.col(first_pos[t]))
-            else:
-                first_pos[t] = c
-        else:
-            existing = existing.where(F.col(c) == F.lit(t))
-    keep = [v for v in keep_vars if v in first_pos]
-    return existing.select(
-        [F.col(first_pos[v]).alias(vcol(v)) for v in keep]
+    return atom_bindings(existing, head).select(
+        [vcol(v) for v in keep_vars]
     ).dropDuplicates()
 
 
@@ -112,11 +100,9 @@ def prefilter_source(
     kept = ab.join(witness, on=on, how="left_anti") if on else ab
     # map binding columns back to fact columns (constants re-materialized)
     cols = []
-    seen: dict[str, str] = {}
     for i, t in enumerate(atom.args):
         if is_var(t):
             cols.append(F.col(vcol(t)).alias(f"a{i}"))
-            seen[t] = vcol(t)
         else:
             cols.append(F.lit(t).alias(f"a{i}"))
     return kept.select(cols)
@@ -134,12 +120,12 @@ def project_head(
             frontier = F.concat_ws("␟", *[F.col(vcol(v)) for v in rule.frontier])
             for z in rule.existentials:
                 ex_cols[z] = F.concat(
-                    F.lit(f"_:sk_{rule.rid}_{z}_"), F.sha2(frontier, 256)
+                    F.lit(f"{SKOLEM_PREFIX}_{rule.rid}_{z}_"), F.sha2(frontier, 256)
                 )
         else:
             rid = F.monotonically_increasing_id().cast("string")
             for z in rule.existentials:
-                ex_cols[z] = F.concat(F.lit(f"_:n{null_tag}_{z}_"), rid)
+                ex_cols[z] = F.concat(F.lit(f"{NULL_PREFIX}{null_tag}_{z}_"), rid)
     out = []
     for i, t in enumerate(rule.head.args):
         if t in ex_cols:

@@ -35,6 +35,15 @@ CASES = {
         """,
         [("s", ("a", "b")), ("s", ("b", "c"))],
     ),
+    "blocked_by_pattern": (
+        """
+        m(X,Y,Z) -> R(X,Y,Z)
+        R(X,Y,Z) -> A(X)
+        A(X) -> R(X,W,W)
+        A(X) -> R(X,k,W)
+        """,
+        [("m", ("1", "b", "c")), ("m", ("2", "d", "d")), ("m", ("3", "k", "e"))],
+    ),
 }
 
 
@@ -90,6 +99,26 @@ def test_restricted_blocks_invention_on_spark(runs):
     ref_nulls = {f for f in ref.facts if f[0] == "E" and any(is_null(t) for t in f[1])}
     sn_nulls = {f for f in sn if f[0] == "E" and any(is_null(t) for t in f[1])}
     assert len(sn_nulls) == len(ref_nulls) == 2  # a-race null + b's null
+
+
+def test_restricted_check_repeated_existential_and_constant(runs):
+    """R(2,d,d) satisfies the head R(X,W,W) for X=2 (repeated existential)
+    and R(3,k,e) satisfies R(X,k,W) for X=3 (constant): every restricted
+    engine invents nulls for exactly the four other triggers."""
+    _, ref, sn, _, tg = runs["blocked_by_pattern"]
+
+    def invented(facts):
+        return {
+            (pred, tuple("*" if is_null(t) else t for t in args))
+            for pred, args in facts
+            if any(is_null(t) for t in args)
+        }
+
+    want = {
+        ("R", ("1", "*", "*")), ("R", ("3", "*", "*")),
+        ("R", ("1", "k", "*")), ("R", ("2", "k", "*")),
+    }
+    assert invented(ref.facts) == invented(sn) == invented(tg) == want
 
 
 @pytest.mark.parametrize("engine", [naive_chase, seminaive_chase, tgmat])
