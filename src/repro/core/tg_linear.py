@@ -9,8 +9,10 @@
 - ``eval_tg_small`` is Definition 5 on driver-side instances (used by the
   minimizer and by tests; the distributed evaluation lives in
   ``tg_exec.py``).
-- ``min_linear`` is Definition 14: exhaustively remove nodes dominated via
-  *preserving homomorphisms* (Def. 12), checked on H(P) only (Lemma 13).
+- ``min_linear`` is Definition 14: remove nodes dominated via *preserving
+  homomorphisms* (Def. 12), checked on H(P) only (Lemma 13), in sweeps
+  that each evaluate H(P) once, visit the nodes in reverse insertion order
+  and skip the nodes below a removal (*stale*) until the next sweep.
 """
 from __future__ import annotations
 
@@ -86,91 +88,66 @@ def eval_tg_small(g: EG, base: set[Fact]) -> dict[EGNode, set[Fact]]:
     return inst
 
 
-def _ancestor_nulls(node: EGNode, inst: dict[EGNode, set[Fact]]) -> frozenset[str]:
-    nulls = set()
-    for a in node.ancestors():
-        for _, args in inst.get(a, ()):  # nulls introduced upstream of node
-            nulls.update(t for t in args if is_null(t))
-    return frozenset(nulls)
-
-
 def dominated(
     u: EGNode, v: EGNode, insts: list[dict[EGNode, set[Fact]]]
 ) -> bool:
     """u is dominated by v: for every canonical fact, a preserving
-    homomorphism maps u({f}) into v({f}) (Def. 12 + Lemma 13)."""
+    homomorphism maps u({f}) into v({f}) (Def. 12 + Lemma 13).  Nulls
+    introduced upstream of u must map to themselves; an empty u({f}) maps
+    trivially."""
+    ancestors = u.ancestors()
     for inst in insts:
-        fixed = _ancestor_nulls(u, inst)
+        if not inst[u]:
+            continue
+        fixed = frozenset(
+            t for a in ancestors for _, args in inst[a] for t in args if is_null(t)
+        )
         if fact_homomorphism(inst[u], inst[v], fixed=fixed) is None:
             return False
     return True
 
 
-def _profile(node: EGNode, insts) -> tuple:
-    """Canonical signature of a node's instances across H(P): nulls are
-    replaced by first-occurrence indices, so two nodes with identical
-    profiles (same rule chain from different canonical facts) are mutually
-    dominating and can be merged cheaply."""
-    sig = []
-    for inst in insts:
-        ren: dict[str, int] = {}
-        facts = []
-        for p, args in sorted(inst[node]):
-            facts.append(
-                (p, tuple(
-                    f"*{ren.setdefault(t, len(ren))}" if is_null(t) else t
-                    for t in args
-                ))
-            )
-        sig.append((node.rule.rid, tuple(facts)))
-    return tuple(sig)
-
-
-def _merge_duplicates(g: EG, insts) -> bool:
-    """Collapse nodes with identical profiles (same rule + instance
-    pattern) — the bulk of Algorithm 1's cross-Γ redundancy — before the
-    quadratic dominance search."""
-    by_profile: dict[tuple, EGNode] = {}
-    removed = False
-    for u in list(g.nodes):
-        key = _profile(u, insts)
-        v = by_profile.setdefault(key, u)
-        if v is u or u in v.ancestors():
-            continue
-        for child in g.nodes:
-            for j, ps in child.parents.items():
-                child.parents[j] = [v if p is u else p for p in ps]
-        g.remove(u)
-        removed = True
-    return removed
-
-
 def min_linear(g: EG, program: Program) -> EG:
-    """Definition 14: exhaustively remove dominated nodes, redirecting the
-    removed node's children to the dominating node.  Redirections that
-    would create a cycle (v below u) are skipped."""
+    """Definition 14: remove every node dominated by a same-head peer,
+    redirecting its children to the dominating node, in sweeps until one
+    removes nothing.
+
+    A sweep evaluates H(P) once and visits the nodes in reverse insertion
+    order.  It removes ``u`` when the first peer ``v`` with ``u`` not among
+    ``v``'s ancestors (so the redirect makes no cycle) dominates it.  The
+    descendants of ``u`` are then *stale*: their instances changed, so the
+    sweep skips them, as ``u`` and as ``v``, and the next sweep
+    re-evaluates them.  Algorithm 1 adds each node after its parent, so in
+    reverse order a node's descendants come first: a removal stales nodes
+    the sweep has already visited rather than the ones still to come, and
+    of twin chains the one built last goes."""
     hp = pattern_facts(program)
-    insts = [eval_tg_small(g, {f}) for f in hp]
-    while _merge_duplicates(g, insts):
+    while True:
         insts = [eval_tg_small(g, {f}) for f in hp]
-    changed = True
-    while changed:
-        changed = False
-        insts = [eval_tg_small(g, {f}) for f in hp]
-        for u in list(g.nodes):
-            for v in g.nodes:
-                if u is v or u.rule.head.pred != v.rule.head.pred:
-                    continue
-                if u in v.ancestors():  # avoid creating cycles on redirect
-                    continue
-                if dominated(u, v, insts):
-                    for child in g.nodes:
-                        for j, ps in child.parents.items():
-                            child.parents[j] = [v if p is u else p for p in ps]
-                    g.remove(u)
-                    changed = True
-                    break
-            if changed:
-                break
+        anc = {n: n.ancestors() for n in g.nodes}
+        peers: dict[str, list[EGNode]] = {}
+        for n in g.nodes:
+            peers.setdefault(n.rule.head.pred, []).append(n)
+        # removed, or below a removed node; any other node keeps the
+        # ancestors and instances it had when the sweep began
+        stale: set[EGNode] = set()
+        for u in g.nodes[::-1]:
+            if u in stale:
+                continue
+            v = next(
+                (v for v in peers[u.rule.head.pred]
+                 if v is not u and v not in stale and u not in anc[v]
+                 and dominated(u, v, insts)),
+                None,
+            )
+            if v is None:
+                continue
+            stale.update(n for n in g.nodes if n is u or u in anc[n])
+            for child in g.nodes:
+                for j, ps in child.parents.items():
+                    child.parents[j] = [v if p is u else p for p in ps]
+            g.remove(u)
+        if not stale:
+            break
     g.recompute_depths()
     return g

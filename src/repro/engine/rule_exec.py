@@ -95,7 +95,7 @@ def prefilter_source(
     the anti-join of step (v)/(vi) in paper Figure 2.  Returns a *fact*
     DataFrame (same shape as ``df``)."""
     ab = atom_bindings(df, atom)
-    witness = head_witness(existing, rule.head, rule.head.vars)
+    witness = head_witness(existing, rule.head, dict.fromkeys(rule.head.vars))
     on = [c for c in witness.columns if c in ab.columns]
     kept = ab.join(witness, on=on, how="left_anti") if on else ab
     # map binding columns back to fact columns (constants re-materialized)

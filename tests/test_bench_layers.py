@@ -10,11 +10,14 @@ import pandas as pd
 import pytest
 
 from repro.bench_data import Scenario
+from repro.core import tg_linear
 from repro.core.rules import parse_program
 from repro.harness.runners import run_engine
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
 from spans import LAYERS, Tracer  # noqa: E402
+
+from tests.helpers import P1_TEXT  # noqa: E402
 
 
 @pytest.mark.parametrize("module,name", [(m, f) for m, f, *_ in LAYERS])
@@ -48,3 +51,24 @@ def test_harness_runs_traced_engine(spark, engine, span):
     names = [s.name for s in tracer.spans]
     assert names[:2] == ["facts.load", span]
     assert {"facts.materialize", "rule_exec"} <= set(names)
+
+
+def test_driver_min_linear_spans():
+    """``min_linear`` reaches ``dominated`` and ``eval_tg_small`` through
+    the module attributes the tracer rebinds; inlining either, or calling
+    it through a name bound at import time, would silently zero its span
+    counts."""
+    for module, *_ in LAYERS:
+        importlib.import_module(module)
+    program = parse_program(P1_TEXT)
+    tracer = Tracer(_NoSpark())
+    tracer.install()
+    try:
+        tracer.start_op("op")
+        tg_linear.min_linear(tg_linear.tglinear(program), program)
+    finally:
+        tracer.uninstall()
+    names = {s.name for s in tracer.spans}
+    assert {
+        "tg_linear.min_linear", "tg_linear.dominated", "tg_linear.eval_tg_small"
+    } <= names

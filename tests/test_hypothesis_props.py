@@ -1,12 +1,22 @@
 """Property-based tests (driver-side, fast): random linear programs and
-instances satisfy Theorem 10 (tglinear + minLinear ≡ chase) and random
-Datalog hierarchies satisfy chase-variant agreement."""
+instances satisfy Theorem 10 (tglinear + minLinear ≡ chase), minLinear
+reaches a Definition 14 fixpoint, and random Datalog hierarchies satisfy
+chase-variant agreement."""
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.chase_small import chase
 from repro.core.rules import Program, mk_rule
-from repro.core.tg_linear import eval_tg_small, min_linear, tglinear
+from repro.core.tg_linear import (
+    dominated,
+    eval_tg_small,
+    min_linear,
+    pattern_facts,
+    tglinear,
+)
 from repro.core.unify import instances_equivalent
+
+from tests.helpers import LINEAR_CASES, prog
 
 settings.register_profile("repro", max_examples=25, deadline=None)
 settings.load_profile("repro")
@@ -81,6 +91,31 @@ def test_tglinear_theorem10(program, base):
 def test_minlinear_preserves_equivalence(program, base):
     g = min_linear(tglinear(program), program)
     assert instances_equivalent(_tg_facts(g, base), chase(program, base).facts)
+
+
+def assert_min_linear_fixpoint(program):
+    """Definition 14 holds after ``min_linear``: on fresh H(P) instances no
+    kept node is dominated by a same-head peer it is not an ancestor of,
+    and a second ``min_linear`` removes nothing."""
+    g = min_linear(tglinear(program), program)
+    insts = [eval_tg_small(g, {f}) for f in pattern_facts(program)]
+    for u in g.nodes:
+        for v in g.nodes:
+            if v is u or v.rule.head.pred != u.rule.head.pred or u in v.ancestors():
+                continue
+            assert not dominated(u, v, insts), (u.nid, v.nid)
+    kept = list(g.nodes)
+    assert min_linear(g, program).nodes == kept
+
+
+@given(linear_programs())
+def test_minlinear_is_fixpoint(program):
+    assert_min_linear_fixpoint(program)
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_CASES))
+def test_minlinear_is_fixpoint_on_case(name):
+    assert_min_linear_fixpoint(prog(LINEAR_CASES[name][0]))
 
 
 @given(base_instances(), st.integers(0, 5))

@@ -12,6 +12,7 @@ from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.core.rules import parse_rule
+from repro.engine import rule_exec
 from repro.engine.facts import FactStore, df_from_facts
 from repro.engine.rule_exec import (
     atom_bindings,
@@ -216,3 +217,21 @@ def test_prefilter_preserves_constants(spark):
     existing = df_from_facts(spark, [("a",)], 1)
     out = prefilter_source(src, rule.body[0], rule, existing)
     assert [tuple(r) for r in out.collect()] == [("b", "red")]
+
+
+def test_prefilter_repeated_head_variable(spark, monkeypatch):
+    """A head that repeats a variable keeps one witness column for it, so
+    the anti-join names each column once."""
+    witnesses = []
+
+    def spy(*args):
+        witnesses.append(head_witness(*args))
+        return witnesses[-1]
+
+    monkeypatch.setattr(rule_exec, "head_witness", spy)
+    src = df_from_facts(spark, [("a", "b"), ("c", "d")], 2)
+    rule = parse_rule("e(X,Y) -> R(X,X,Y)", "r")
+    existing = df_from_facts(spark, [("a", "a", "b"), ("c", "x", "d")], 3)
+    out = prefilter_source(src, rule.body[0], rule, existing)
+    assert [w.columns for w in witnesses] == [["v_X", "v_Y"]]
+    assert [tuple(r) for r in out.collect()] == [("c", "d")]

@@ -12,6 +12,7 @@ from repro.core.tg_linear import (
     tglinear,
 )
 from repro.core.unify import instances_equivalent
+from repro.harness.tables import linear_scenarios
 
 from tests.helpers import LINEAR_CASES, P1_TEXT, prog
 
@@ -111,6 +112,21 @@ def test_chain_depth_matches_program_depth():
     p = prog(LINEAR_CASES["chain"][0])
     g = min_linear(tglinear(p), p)
     assert g.graph_depth == 3 and g.n_nodes == 4
+
+
+def test_min_linear_sizes_on_linear_scenarios():
+    """Table 2's TG columns (#N, #E, D) at ``test`` scale."""
+    sizes = {
+        sc.name: min_linear(tglinear(sc.program), sc.program).sizes()
+        for sc in linear_scenarios("test")
+    }
+    assert sizes == {
+        "LUBM-LI": (45, 20, 4),
+        "UOBM-LI": (16, 4, 1),
+        "DBpedia-LI": (518, 398, 5),
+        "Claros-LI": (102, 99, 20),
+        "Reactome-LI": (20, 12, 2),
+    }
 
 
 def test_duplicate_chains_merged():
