@@ -32,6 +32,20 @@ class _NoSpark:
         pass
 
 
+def _traced_span_names(call) -> list[str]:
+    """Run ``call`` as one traced op; the names of the spans it recorded."""
+    for module, *_ in LAYERS:
+        importlib.import_module(module)
+    tracer = Tracer(_NoSpark())
+    tracer.install()
+    try:
+        tracer.start_op("op")
+        call()
+    finally:
+        tracer.uninstall()
+    return [s.name for s in tracer.spans]
+
+
 @pytest.mark.parametrize("engine,span", [("glog-mr", "tgmat"), ("vlog", "chase")])
 def test_harness_runs_traced_engine(spark, engine, span):
     scenario = Scenario(
@@ -39,16 +53,7 @@ def test_harness_runs_traced_engine(spark, engine, span):
         parse_program("e(X,Y) -> R(X,Y)\nR(X,Y), R(Y,Z) -> R(X,Z)"),
         {"e": pd.DataFrame([("a", "b"), ("b", "c")])},
     )
-    for module, *_ in LAYERS:
-        importlib.import_module(module)
-    tracer = Tracer(_NoSpark())
-    tracer.install()
-    try:
-        tracer.start_op("op")
-        run_engine(spark, engine, scenario)
-    finally:
-        tracer.uninstall()
-    names = [s.name for s in tracer.spans]
+    names = _traced_span_names(lambda: run_engine(spark, engine, scenario))
     assert names[:2] == ["facts.load", span]
     assert {"facts.materialize", "rule_exec"} <= set(names)
 
@@ -58,17 +63,10 @@ def test_driver_min_linear_spans():
     the module attributes the tracer rebinds; inlining either, or calling
     it through a name bound at import time, would silently zero its span
     counts."""
-    for module, *_ in LAYERS:
-        importlib.import_module(module)
     program = parse_program(P1_TEXT)
-    tracer = Tracer(_NoSpark())
-    tracer.install()
-    try:
-        tracer.start_op("op")
-        tg_linear.min_linear(tg_linear.tglinear(program), program)
-    finally:
-        tracer.uninstall()
-    names = {s.name for s in tracer.spans}
+    names = _traced_span_names(
+        lambda: tg_linear.min_linear(tg_linear.tglinear(program), program)
+    )
     assert {
         "tg_linear.min_linear", "tg_linear.dominated", "tg_linear.eval_tg_small"
-    } <= names
+    } <= set(names)

@@ -136,6 +136,16 @@ def test_duplicate_chains_merged():
     assert g.n_nodes == 3
 
 
+def test_min_linear_keeps_node_dominated_only_by_its_descendant():
+    """The p(X,X) node dominates its parent p(X,Z), but redirecting the
+    parent's children to its own child would make a cycle, so both stay."""
+    p = prog("e(X,Y) -> p(X,Z)\np(X,Y) -> p(X,X)")
+    g = min_linear(tglinear(p), p)
+    assert g.sizes() == (2, 1, 1)
+    base = {("e", ("a", "b"))}
+    assert instances_equivalent(tg_result(g, p, base), chase(p, base).facts)
+
+
 def test_eval_on_instance_independence():
     """An instance-independent TG works for *any* base instance."""
     p = prog(P1_TEXT)
