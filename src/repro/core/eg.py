@@ -21,21 +21,16 @@ from dataclasses import dataclass, field
 from .rules import Rule
 
 
-@dataclass
+@dataclass(eq=False)
 class EGNode:
     """A node labelled with a rule; ``parents[j]`` lists the nodes feeding
-    the j-th body atom (0-based; empty for extensional atoms)."""
+    the j-th body atom (0-based; empty for extensional atoms).  Nodes hash
+    and compare by identity."""
 
     nid: int
     rule: Rule
     parents: dict[int, list["EGNode"]] = field(default_factory=dict)
     depth: int = 0
-
-    def __hash__(self) -> int:
-        return self.nid
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EGNode) and self.nid == other.nid
 
     def ancestors(self) -> set["EGNode"]:
         seen: set[EGNode] = set()

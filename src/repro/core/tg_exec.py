@@ -56,14 +56,11 @@ def subsume_nulls(df: DataFrame) -> DataFrame:
         if m == zero:
             continue
         part = d.where(F.col("_mask") == m).drop("_mask")
+        # all-null rows have no key: any null-free fact subsumes them
         on = [c for c, bit in zip(cols, m) if bit == "0"]
-        if on:
-            part = part.join(
-                null_free.select(on).dropDuplicates(), on=on, how="left_anti"
-            )
-        elif not null_free.isEmpty():
-            part = part.limit(0)
-        parts.append(part)
+        parts.append(part.join(
+            null_free.select(on).dropDuplicates(), on=on or None, how="left_anti"
+        ))
     return functools.reduce(DataFrame.unionByName, parts)
 
 
@@ -78,7 +75,6 @@ def eval_tg_spark(
     t0 = time.perf_counter()
     store = prepare(spark, program, base)
     stats = EngineStats()
-    g.recompute_depths()
     node_df: dict[int, DataFrame] = {}
     per_pred: dict[str, list[DataFrame]] = {}
     for node in sorted(g.nodes, key=lambda n: n.depth):

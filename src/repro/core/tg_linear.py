@@ -50,7 +50,7 @@ def pattern_facts(program: Program) -> list[Fact]:
     return facts
 
 
-def tglinear(program: Program, *, variant: str = "restricted", max_rounds: int = 200) -> EG:
+def tglinear(program: Program) -> EG:
     """Algorithm 1: one TG node per chase-graph edge observed while chasing
     each canonical fact, with node u -> node v when v's source fact is u's
     derived fact."""
@@ -58,7 +58,7 @@ def tglinear(program: Program, *, variant: str = "restricted", max_rounds: int =
         raise ValueError("tglinear requires a linear program")
     g = EG()
     for f in pattern_facts(program):
-        result = chase(program, {f}, variant=variant, max_rounds=max_rounds)
+        result = chase(program, {f})
         by_fact: dict[Fact, EGNode] = {}
         # chase edges are produced in round order, so parents exist first
         for e in result.edges:
@@ -73,9 +73,10 @@ def tglinear(program: Program, *, variant: str = "restricted", max_rounds: int =
 
 def eval_tg_small(g: EG, base: set[Fact]) -> dict[EGNode, set[Fact]]:
     """Definition 5 on a driver-side instance: v(B) for every node, with a
-    fresh labelled null per (node, trigger, existential variable)."""
+    fresh labelled null per (node, trigger, existential variable).  Reads
+    the node depths as they are: ``EG.add`` sets them, and code that
+    rewires edges recomputes them."""
     inst: dict[EGNode, set[Fact]] = {}
-    g.recompute_depths()
     for node in sorted(g.nodes, key=lambda n: n.depth):
         rule = node.rule
         source: set[Fact] = base if not node.parents else set().union(
@@ -123,6 +124,7 @@ def min_linear(g: EG, program: Program) -> EG:
     of twin chains the one built last goes."""
     hp = pattern_facts(program)
     while True:
+        g.recompute_depths()
         insts = [eval_tg_small(g, {f}) for f in hp]
         anc = {n: n.ancestors() for n in g.nodes}
         peers: dict[str, list[EGNode]] = {}
@@ -148,6 +150,4 @@ def min_linear(g: EG, program: Program) -> EG:
                     child.parents[j] = [v if p is u else p for p in ps]
             g.remove(u)
         if not stale:
-            break
-    g.recompute_depths()
-    return g
+            return g

@@ -62,13 +62,14 @@ def seminaive_chase(
     """Semi-naive restricted chase with per-rule redundancy filtering."""
 
     def plan(k, store, delta):
-        if k == 1:  # round 1 treats all (non-empty) EDB relations as the delta
-            edb = {p: store.df(p) for p in program.edb if store.has(p)}
-            delta = {p: d for p, d in edb.items() if not d.isEmpty()}
+        if k == 1:  # round 1 treats all EDB relations as the delta
+            delta = {p: store.df(p) for p in program.edb if store.has(p)}
         for rule in program:
             pivots = [i for i, a in enumerate(rule.body) if a.pred in delta]
             # round 1: Δ == full for every EDB predicate, so one execution
-            # covers the rule (pivot enumeration would duplicate it exactly)
+            # covers the rule (pivot enumeration would duplicate it exactly;
+            # the pivot picks only the null tag, and an empty source gives
+            # an empty execution whichever atom it feeds)
             if k == 1:
                 pivots = pivots[:1]
             for i in pivots:

@@ -113,12 +113,6 @@ class FactStore:
     def total(self) -> int:
         return sum(self.counts().values())
 
-    def checkpoint(self, preds=None) -> None:
-        """Truncate lineage eagerly — mandatory in iterative loops."""
-        for p in preds if preds is not None else list(self._dfs):
-            if self.has(p):
-                self._dfs[p] = self._dfs[p].localCheckpoint(eager=True)
-
     def to_fact_set(self, preds=None) -> set[Fact]:
         """Collect as driver-side fact tuples (tests on small data only)."""
         out: set[Fact] = set()

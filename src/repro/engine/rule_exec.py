@@ -68,13 +68,12 @@ def restricted_filter(
 ) -> DataFrame:
     """Keep only *active* triggers (restricted chase): those with no
     extension mapping the head into ``existing``.  With single-atom heads
-    this is an anti-join on the frontier variables."""
+    this is an anti-join on the frontier variables.  A head without them
+    anti-joins a witness of zero columns: one witness fact satisfies every
+    trigger, and the keyless join stays lazy."""
     witness = head_witness(existing, rule.head, rule.frontier)
     on = [vcol(v) for v in rule.frontier]
-    if not on:
-        # fully-existential head: one witness fact satisfies every trigger
-        return bindings if witness.isEmpty() else bindings.limit(0)
-    return bindings.join(witness, on=on, how="left_anti")
+    return bindings.join(witness, on=on or None, how="left_anti")
 
 
 def covering_atom(rule: Rule) -> int | None:
@@ -157,8 +156,7 @@ def execute_rule(
     variant: str = "datalog",
     null_tag: str = "",
 ) -> RuleExec:
-    """Execute ``rule`` with per-atom ``sources``; lazy, runs no Spark job
-    (except the restricted check of a head without frontier variables).
+    """Execute ``rule`` with per-atom ``sources``; lazy, runs no Spark job.
 
     ``variant``: 'datalog' (no existential handling), 'skolem',
     'restricted' (active triggers only, fresh nulls; needs ``existing``),

@@ -22,7 +22,6 @@ from .metrics import RunResult, peak_rss_mb
 def base_store(spark: SparkSession, scenario: Scenario) -> FactStore:
     store = FactStore.from_pandas(spark, scenario.tables)
     store.register_arities(scenario.program.arities)
-    store.checkpoint()
     return store
 
 

@@ -63,6 +63,13 @@ def test_nodes_unique_ids_and_hash():
     assert a != b and len({a, b}) == 2
 
 
+def test_nodes_of_two_graphs_differ():
+    """Nodes compare by identity: equal ids in two graphs are two nodes."""
+    rule = _prog().rules[0]
+    a, b = EG().add(rule), EG().add(rule)
+    assert a.nid == b.nid and a != b and len({a, b}) == 2
+
+
 def test_empty_graph_sizes():
     assert EG().sizes() == (0, 0, 0)
 

@@ -83,8 +83,3 @@ def test_distinct_new(spark):
     out = distinct_new(delta, existing)
     assert [tuple(r) for r in out.collect()] == [("c", "d")]
 
-
-def test_checkpoint_preserves_content(spark):
-    store = FactStore.from_facts(spark, [("p", ("a", "b")), ("p", ("c", "d"))])
-    store.checkpoint()
-    assert store.count("p") == 2

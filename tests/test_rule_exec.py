@@ -90,9 +90,6 @@ def jobs_submitted(spark, fn) -> list[int]:
     return tracker.getJobIdsForGroup(group)
 
 
-# The one known exception: 'restricted' on a head without frontier
-# variables (``p(X) -> Flag(Z)``) asks ``witness.isEmpty()`` in
-# ``restricted_filter`` (ROADMAP item 3b).
 @pytest.mark.parametrize(
     "text,variant",
     [
@@ -100,6 +97,7 @@ def jobs_submitted(spark, fn) -> list[int]:
         ("p(X), q(X,Y) -> Q(Y,Z)", "skolem"),
         ("p(X), q(X,Y) -> Q(Y,Z)", "restricted"),
         ("p(X), q(X,Y) -> Q(Y,Z)", "null"),
+        ("p(X) -> Flag(Z)", "restricted"),
     ],
 )
 def test_execute_rule_submits_no_job(spark, text, variant):
