@@ -105,10 +105,6 @@ class Program:
     def is_linear(self) -> bool:
         return all(r.is_linear for r in self.rules)
 
-    def extensional_rules(self) -> list[Rule]:
-        """Rules whose body mentions only EDB predicates (fire in round 1)."""
-        return [r for r in self.rules if all(a.pred in self.edb for a in r.body)]
-
     def __len__(self) -> int:
         return len(self.rules)
 
@@ -128,13 +124,8 @@ def parse_atom(text: str) -> Atom:
 
 
 def _parse_atoms(text: str) -> tuple[Atom, ...]:
-    atoms = tuple(
-        Atom(m.group(1), tuple(a.strip() for a in m.group(2).split(",")) if m.group(2).strip() else ())
-        for m in _ATOM_RE.finditer(text)
-    )
-    if not atoms:
-        raise ValueError(f"no atoms in: {text!r}")
-    return atoms
+    """The comma-separated atoms of a rule body or head."""
+    return tuple(parse_atom(a) for a in re.split(r"(?<=\))\s*,", text))
 
 
 def parse_rule(text: str, rid: str) -> Rule:
@@ -142,11 +133,13 @@ def parse_rule(text: str, rid: str) -> Rule:
     parts = text.split("->")
     if len(parts) != 2:
         raise ValueError(f"rule needs exactly one '->': {text!r}")
-    body_s, head_s = parts
-    heads = _parse_atoms(head_s)
+    try:
+        body, heads = (_parse_atoms(s) for s in parts)
+    except ValueError as e:
+        raise ValueError(f"{e} in rule {text!r}") from e
     if len(heads) != 1:
         raise ValueError(f"rules must have a single head atom: {text!r}")
-    return Rule(body=_parse_atoms(body_s), head=heads[0], rid=rid)
+    return Rule(body=body, head=heads[0], rid=rid)
 
 
 def parse_program(text: str) -> Program:

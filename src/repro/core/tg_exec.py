@@ -16,6 +16,12 @@ one collective pass over all predicates: global ``distinct`` plus removal
 of null-carrying facts that are subsumed by a null-free fact of their
 predicate on their non-null positions (the deferred n-way filtering the
 paper contrasts with the chase's filter-after-every-rule).
+
+Which positions can hold a null is read off the TG, not the data: facts
+that are pattern-isomorphic see identical linear-rule executions
+(Section 5), so evaluating the TG on H(P) yields the null pattern of every
+fact it derives from a null-free base.  A TG that derives no null skips
+the subsumption pass entirely.
 """
 from __future__ import annotations
 
@@ -30,15 +36,37 @@ from ..engine.fixpoint import EngineStats, prepare
 from ..engine.rule_exec import execute_rule
 from .eg import EG, EGNode
 from .rules import Program
-from .terms import NULL_MARK
+from .terms import NULL_MARK, is_null
+from .tg_linear import eval_tg_small, pattern_facts
 
 
-def subsume_nulls(df: DataFrame) -> DataFrame:
+def null_patterns(g: EG, program: Program, width: int) -> set[str]:
+    """The null masks (``"1"`` at a null position) of the facts ``g``
+    derives on H(P), padded with ``"0"`` to ``width`` columns.  For a
+    null-free base B these are the masks of every fact ``g`` derives from
+    B."""
+    return {
+        "".join("1" if is_null(t) else "0" for t in args).ljust(width, "0")
+        for f in pattern_facts(program)
+        for facts in eval_tg_small(g, {f}).values()
+        for _, args in facts
+    }
+
+
+def subsume_nulls(df: DataFrame, patterns: set[str]) -> DataFrame:
     """Drop facts containing nulls that a null-free fact subsumes on every
     non-null position (pattern-level redundancy elimination; the general
-    core computation is approximated by its by-far most common case)."""
+    core computation is approximated by its by-far most common case).
+
+    ``patterns`` are the null masks the rows can have (``null_patterns``).
+    Without a non-zero one this returns ``df`` and runs no Spark job;
+    otherwise it checkpoints ``df`` with its masks, once.  A row whose
+    mask is not among ``patterns`` (a null in the base) is kept."""
     cols = df.columns
     zero = "0" * len(cols)
+    nonzero = sorted(set(patterns) - {zero})
+    if not nonzero:
+        return df
     mask = F.concat_ws(
         "",
         *[
@@ -47,14 +75,9 @@ def subsume_nulls(df: DataFrame) -> DataFrame:
         ],
     )
     d = df.withColumn("_mask", mask).localCheckpoint(eager=True)
-    masks = [r[0] for r in d.select("_mask").distinct().collect()]
     null_free = d.where(F.col("_mask") == zero).drop("_mask")
-    if set(masks) <= {zero}:
-        return null_free
-    parts = [null_free]
-    for m in masks:
-        if m == zero:
-            continue
+    parts = [d.where(~F.col("_mask").isin(nonzero)).drop("_mask")]
+    for m in nonzero:
         part = d.where(F.col("_mask") == m).drop("_mask")
         # all-null rows have no key: any null-free fact subsumes them
         on = [c for c, bit in zip(cols, m) if bit == "0"]
@@ -109,7 +132,8 @@ def eval_tg_spark(
         # one pass over the checkpoint of all predicates: ``_pred`` is a
         # column without nulls, so a fact is only subsumed within its own
         # predicate (padding columns are equal within one, too)
-        cleaned = subsume_nulls(raw.table.dropDuplicates())
+        patterns = null_patterns(g, program, len(raw.table.columns))
+        cleaned = subsume_nulls(raw.table.dropDuplicates(), patterns)
         for pred, (d, n) in materialize_tagged(cleaned, program.arities).items():
             store.set(pred, d)
             stats.derived += n

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .chase_small import chase, instantiate_head
 from .eg import EG, EGNode
 from .rules import Program
-from .terms import is_null
+from .terms import is_null, is_var
 from .unify import Fact, fact_homomorphism, homomorphisms
 
 
@@ -56,6 +56,12 @@ def tglinear(program: Program) -> EG:
     derived fact."""
     if not program.is_linear:
         raise ValueError("tglinear requires a linear program")
+    # H(P) holds only the reserved ``⊥i``, so a body constant never matches
+    for r in program:
+        if not all(is_var(t) for a in r.body for t in a.args):
+            raise ValueError(
+                f"tglinear requires rule bodies without constants: {r.rid} is {r}"
+            )
     g = EG()
     for f in pattern_facts(program):
         result = chase(program, {f})

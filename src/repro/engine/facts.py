@@ -103,16 +103,6 @@ class FactStore:
         c._dfs = dict(self._dfs)
         return c
 
-    # -- measurement ----------------------------------------------------
-    def count(self, pred: str) -> int:
-        return self.df(pred).count() if self.has(pred) else 0
-
-    def counts(self) -> dict[str, int]:
-        return {p: self.count(p) for p in sorted(self._dfs)}
-
-    def total(self) -> int:
-        return sum(self.counts().values())
-
     def to_fact_set(self, preds=None) -> set[Fact]:
         """Collect as driver-side fact tuples (tests on small data only)."""
         out: set[Fact] = set()

@@ -48,14 +48,11 @@ def run_engine(
     scenario: Scenario,
     *,
     count_triggers: bool = False,
-    max_rounds: int = 100,
 ) -> RunResult:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     base = base_store(spark, scenario)
-    stats = ENGINES[engine](
-        spark, scenario.program, base, count_triggers=count_triggers, max_rounds=max_rounds
-    )
+    stats = ENGINES[engine](spark, scenario.program, base, count_triggers=count_triggers)
     return RunResult(
         scenario=scenario.name,
         engine=engine,

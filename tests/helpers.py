@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 from repro.core.rules import parse_program
+from repro.core.terms import is_null
+from repro.core.tg_exec import null_patterns
+from repro.core.tg_linear import eval_tg_small, min_linear, tglinear
 
 # Paper Example 1 (Section 2)
 P1_TEXT = """
@@ -124,3 +127,17 @@ LINEAR_CASES = {
 
 def prog(text: str):
     return parse_program(text)
+
+
+def assert_null_patterns_cover(program, base) -> None:
+    """Every null mask of a fact the minimized TG derives from ``base``
+    (padded as in the tagged table, whose last column is ``_pred``) is
+    among the masks ``null_patterns`` reads off H(P)."""
+    g = min_linear(tglinear(program), program)
+    width = max(program.arities.values()) + 1
+    derived = {
+        "".join("1" if is_null(t) else "0" for t in args).ljust(width, "0")
+        for facts in eval_tg_small(g, set(base)).values()
+        for _, args in facts
+    }
+    assert derived <= null_patterns(g, program, width)

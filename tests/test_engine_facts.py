@@ -56,19 +56,14 @@ def test_store_registered_arity_gives_empty(spark):
 def test_store_add_unions(spark):
     store = FactStore.from_facts(spark, [("p", ("a", "b"))])
     store.add("p", df_from_facts(spark, [("c", "d")], 2))
-    assert store.count("p") == 2
-
-
-def test_store_counts_total(spark):
-    store = FactStore.from_facts(spark, [("p", ("a", "b")), ("q", ("c",))])
-    assert store.counts() == {"p": 1, "q": 1} and store.total() == 2
+    assert store.df("p").count() == 2
 
 
 def test_store_copy_is_shallow_snapshot(spark):
     store = FactStore.from_facts(spark, [("p", ("a", "b"))])
     snap = store.copy()
     store.add("p", df_from_facts(spark, [("c", "d")], 2))
-    assert snap.count("p") == 1 and store.count("p") == 2
+    assert snap.df("p").count() == 1 and store.df("p").count() == 2
 
 
 def test_register_arities_clash(spark):

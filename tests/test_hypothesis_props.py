@@ -1,5 +1,6 @@
 """Property-based tests (driver-side, fast): random linear programs and
-instances satisfy Theorem 10 (tglinear + minLinear ≡ chase), minLinear
+instances satisfy Theorem 10 (tglinear + minLinear ≡ chase), the null
+patterns read off H(P) cover their derived facts, minLinear
 reaches a Definition 14 fixpoint, and random Datalog hierarchies satisfy
 chase-variant agreement."""
 import pytest
@@ -16,7 +17,7 @@ from repro.core.tg_linear import (
 )
 from repro.core.unify import instances_equivalent
 
-from tests.helpers import LINEAR_CASES, prog
+from tests.helpers import LINEAR_CASES, assert_null_patterns_cover, prog
 
 settings.register_profile("repro", max_examples=25, deadline=None)
 settings.load_profile("repro")
@@ -91,6 +92,11 @@ def test_tglinear_theorem10(program, base):
 def test_minlinear_preserves_equivalence(program, base):
     g = min_linear(tglinear(program), program)
     assert instances_equivalent(_tg_facts(g, base), chase(program, base).facts)
+
+
+@given(linear_programs(), base_instances())
+def test_null_patterns_cover_derived_facts(program, base):
+    assert_null_patterns_cover(program, base)
 
 
 def assert_min_linear_fixpoint(program):

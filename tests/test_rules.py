@@ -49,8 +49,19 @@ def test_parse_rule_existential():
 
 @pytest.mark.parametrize(
     "bad",
-    ["R(X,Y), R(Y,Z)", "a(X) -> B(X), C(X)", "a(X) -> b(X) -> c(X)"],
-    ids=["missing-arrow", "multi-head", "two-arrows"],
+    [
+        "R(X,Y), R(Y,Z)",
+        "a(X) -> B(X), C(X)",
+        "a(X) -> b(X) -> c(X)",
+        "p(X), junk -> r(X)",
+        "p(X) q(Y) -> r(X)",
+        "p(X) -> r(X) extra",
+        "p(X,) -> r(X)",
+    ],
+    ids=[
+        "missing-arrow", "multi-head", "two-arrows", "text-between-atoms",
+        "no-comma", "trailing-text", "empty-argument",
+    ],
 )
 def test_parse_rule_bad(bad):
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
@@ -81,11 +92,6 @@ def test_program_arity_clash():
 def test_program_comments_and_blank_lines():
     p = parse_program("# comment\n\na(X) -> B(X)  # trailing\n")
     assert len(p) == 1
-
-
-def test_extensional_rules():
-    p = parse_program("a(X) -> B(X)\nB(X) -> C(X)\na(X), B(X) -> D(X)")
-    assert [r.head.pred for r in p.extensional_rules()] == ["B"]
 
 
 def test_mk_rule_matches_parse():

@@ -1,6 +1,8 @@
 """Instance-independent TGs for linear programs (paper Section 5):
 Algorithm 1, preserving-homomorphism minimization, and Theorem 10
 (TG-guided reasoning ≡ chase) on driver-side instances."""
+import re
+
 import pytest
 
 from repro.core.chase_small import chase
@@ -106,6 +108,13 @@ def test_min_linear_never_grows(name):
     g = tglinear(p)
     before = g.n_nodes
     assert min_linear(g, p).n_nodes <= before
+
+
+def test_tglinear_rejects_body_constants():
+    # H(P) holds only the reserved ⊥i: the rule would silently never fire
+    p = prog("s(X) -> A(X)\nt(X,type,Y) -> C(X,Y)")
+    with pytest.raises(ValueError, match=re.escape("r1 is t(X,type,Y) -> C(X,Y)")):
+        tglinear(p)
 
 
 def test_chain_depth_matches_program_depth():
