@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rules import Program, Rule
-from .terms import fresh_null, is_var, skolem
+from .terms import is_var, labelled_null, skolem
 from .unify import Fact, fact_index, match
 
 
@@ -44,15 +44,16 @@ class ChaseResult:
     triggers: int = 0
 
 
-def instantiate_head(rule: Rule, h: dict[str, str], variant: str) -> Fact:
-    """h_s(head(r)): extend the trigger with skolem terms (``skolem``) or
-    fresh nulls (any other variant) for the existential variables."""
+def instantiate_head(rule: Rule, h: dict[str, str], null_tag: str | None) -> Fact:
+    """h_s(head(r)): extend the trigger with a skolem term (``null_tag``
+    None) or the trigger's labelled null under ``null_tag`` for each
+    existential variable."""
     ext = dict(h)
     for z in rule.existentials:
         ext[z] = (
             skolem(rule.rid, z, tuple(h[v] for v in rule.frontier))
-            if variant == "skolem"
-            else fresh_null()
+            if null_tag is None
+            else labelled_null(null_tag, z, tuple(h[v] for v in rule.body_vars))
         )
     return (rule.head.pred, tuple(ext.get(t, t) for t in rule.head.args))
 
@@ -66,7 +67,11 @@ def chase(
 ) -> ChaseResult:
     """Breadth-first chase: each round executes every rule over the current
     instance (the paper's round semantics, with SNE-free trigger counting).
-    Raises if ``max_rounds`` is hit (non-terminating / non-FES input)."""
+    A restricted trigger fires at most once, so its nulls are tagged by
+    the rule alone.  Raises if ``max_rounds`` is hit (non-terminating /
+    non-FES input)."""
+    if variant not in ("restricted", "skolem"):
+        raise ValueError(f"unknown chase variant {variant!r} (restricted, skolem)")
     facts: set[Fact] = set(base)
     edges: list[ChaseEdge] = []
     triggers = 0
@@ -74,6 +79,7 @@ def chase(
         new: set[Fact] = set()
         idx = fact_index(facts)
         for rule in program:
+            null_tag = None if variant == "skolem" else rule.rid
             head = [(rule.head.pred, rule.head.args)]
             body = [(a.pred, a.args) for a in rule.body]
             for h in match(body, idx, {}, is_var):
@@ -82,7 +88,7 @@ def chase(
                     frontier = {v: h[v] for v in rule.frontier}
                     if next(match(head, idx, frontier, is_var), None) is not None:
                         continue
-                derived = instantiate_head(rule, h, variant)
+                derived = instantiate_head(rule, h, null_tag)
                 if derived in facts or derived in new:
                     continue
                 src = tuple(

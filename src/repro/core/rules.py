@@ -49,8 +49,10 @@ class Rule:
     rid: str
 
     @cached_property
-    def body_vars(self) -> frozenset[str]:
-        return frozenset(v for a in self.body for v in a.vars)
+    def body_vars(self) -> tuple[str, ...]:
+        """Body variables in order of first occurrence: the key of the
+        labelled nulls a trigger invents (``terms.labelled_null``)."""
+        return tuple(dict.fromkeys(v for a in self.body for v in a.vars))
 
     @cached_property
     def frontier(self) -> tuple[str, ...]:

@@ -109,13 +109,9 @@ def eval_tg_spark(
         else:
             src = store.df(rule.body[0].pred)
         # Definition 5 performs no satisfaction checks: existential rules
-        # emit fresh nulls; redundancy is removed by the cleaning pass
-        ex = execute_rule(
-            rule,
-            [src],
-            variant="null" if rule.is_existential else "datalog",
-            null_tag=f"tg_n{node.nid}",
-        )
+        # emit one null per trigger, named as ``eval_tg_small`` names it;
+        # redundancy is removed by the cleaning pass
+        ex = execute_rule(rule, [src], variant="null", null_tag=f"tg_n{node.nid}")
         stats.rule_execs += 1
         node_df[node.nid] = ex.head_df
         per_pred.setdefault(rule.head.pred, []).append(ex.head_df)

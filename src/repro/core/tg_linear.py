@@ -79,9 +79,9 @@ def tglinear(program: Program) -> EG:
 
 def eval_tg_small(g: EG, base: set[Fact]) -> dict[EGNode, set[Fact]]:
     """Definition 5 on a driver-side instance: v(B) for every node, with a
-    fresh labelled null per (node, trigger, existential variable).  Reads
-    the node depths as they are: ``EG.add`` sets them, and code that
-    rewires edges recomputes them."""
+    labelled null per (node, trigger, existential variable), named as
+    ``eval_tg_spark`` names it.  Reads the node depths as they are:
+    ``EG.add`` sets them, and code that rewires edges recomputes them."""
     inst: dict[EGNode, set[Fact]] = {}
     for node in sorted(g.nodes, key=lambda n: n.depth):
         rule = node.rule
@@ -89,7 +89,7 @@ def eval_tg_small(g: EG, base: set[Fact]) -> dict[EGNode, set[Fact]]:
             *(inst[p] for p in node.parents.get(0, []))
         )
         inst[node] = {
-            instantiate_head(rule, h, "null")
+            instantiate_head(rule, h, f"tg_n{node.nid}")
             for h in homomorphisms(rule.body, source)
         }
     return inst

@@ -74,11 +74,12 @@ def fixpoint(
 ) -> tuple[FactStore, EngineStats]:
     """Run ``plan`` round by round until a round derives nothing new.
 
-    ``existentials`` is the ``execute_rule`` variant of existential rules
-    ('skolem' or 'restricted').  Redundancy is filtered once per round with
-    one n-way union + anti-join per predicate; ``per_rule_dedup`` also
-    filters each execution's output against the KB right away, and
-    ``resort`` globally re-sorts each round's delta.
+    ``existentials`` is the ``execute_rule`` variant ('skolem' or
+    'restricted'); each execution's null tag comes from ``plan``.
+    Redundancy is filtered once per round with one n-way union + anti-join
+    per predicate; ``per_rule_dedup`` also filters each execution's output
+    against the KB right away, and ``resort`` globally re-sorts each
+    round's delta.
 
     ``count_triggers`` weights every head row with ``MULT`` = 1 and tallies
     the multiplicities at the first dedup (per execution under
@@ -100,7 +101,7 @@ def fixpoint(
                 rule,
                 sources,
                 existing=store.df(head),
-                variant=existentials if rule.is_existential else "datalog",
+                variant=existentials,
                 null_tag=null_tag,
             ).head_df
             stats.rule_execs += 1

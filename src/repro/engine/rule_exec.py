@@ -16,7 +16,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.rules import Atom, Rule
-from ..core.terms import NULL_PREFIX, SKOLEM_PREFIX, is_var
+from ..core.terms import KEY_SEP, is_var, null_head, skolem_head
 
 
 def vcol(v: str) -> str:
@@ -108,23 +108,20 @@ def prefilter_source(
 
 
 def project_head(
-    bindings: DataFrame, rule: Rule, *, ex_mode: str = "skolem", null_tag: str = ""
+    bindings: DataFrame, rule: Rule, *, null_tag: str | None = None
 ) -> DataFrame:
-    """h_s(head(r)) for every trigger: select head columns, generating
-    existential terms as deterministic skolems (``ex_mode='skolem'``) or
-    per-trigger fresh labelled nulls (``ex_mode='null'``)."""
+    """h_s(head(r)) for every trigger: select head columns, inventing each
+    existential term as ``terms.invented`` does on the driver: a skolem
+    term of the frontier (``null_tag`` None) or the trigger's labelled
+    null under ``null_tag``, keyed by every body variable."""
     ex_cols: dict[str, F.Column] = {}
-    if rule.existentials:
-        if ex_mode == "skolem":
-            frontier = F.concat_ws("␟", *[F.col(vcol(v)) for v in rule.frontier])
-            for z in rule.existentials:
-                ex_cols[z] = F.concat(
-                    F.lit(f"{SKOLEM_PREFIX}_{rule.rid}_{z}_"), F.sha2(frontier, 256)
-                )
+    for z in rule.existentials:
+        if null_tag is None:
+            head, key = skolem_head(rule.rid, z), rule.frontier
         else:
-            rid = F.monotonically_increasing_id().cast("string")
-            for z in rule.existentials:
-                ex_cols[z] = F.concat(F.lit(f"{NULL_PREFIX}{null_tag}_{z}_"), rid)
+            head, key = null_head(null_tag, z), rule.body_vars
+        key_col = F.concat_ws(KEY_SEP, *[F.col(vcol(v)) for v in key])
+        ex_cols[z] = F.concat(F.lit(head), F.sha2(key_col, 256))
     out = []
     for i, t in enumerate(rule.head.args):
         if t in ex_cols:
@@ -153,18 +150,21 @@ def execute_rule(
     sources: list[DataFrame],
     *,
     existing: DataFrame | None = None,
-    variant: str = "datalog",
+    variant: str = "skolem",
     null_tag: str = "",
 ) -> RuleExec:
     """Execute ``rule`` with per-atom ``sources``; lazy, runs no Spark job.
 
-    ``variant``: 'datalog' (no existential handling), 'skolem',
-    'restricted' (active triggers only, fresh nulls; needs ``existing``),
-    or 'null' (fresh nulls, no satisfaction check — Definition 5).
+    ``variant`` says how an existential rule invents terms: 'skolem',
+    'restricted' (active triggers only, labelled nulls; needs
+    ``existing``) or 'null' (labelled nulls, no satisfaction check —
+    Definition 5).  A Datalog rule ignores it.
     """
+    if variant not in ("skolem", "restricted", "null"):
+        raise ValueError(f"unknown variant {variant!r} (skolem, restricted, null)")
     b = body_bindings(rule.body, sources)
     if variant == "restricted" and rule.is_existential:
         assert existing is not None
         b = restricted_filter(b, rule, existing)
-    ex_mode = "null" if variant in ("restricted", "null") else "skolem"
-    return RuleExec(project_head(b, rule, ex_mode=ex_mode, null_tag=null_tag))
+    tag = None if variant == "skolem" else null_tag
+    return RuleExec(project_head(b, rule, null_tag=tag))

@@ -5,6 +5,7 @@ from repro.core.rules import parse_program
 from repro.core.terms import is_null
 from repro.core.tg_exec import null_patterns
 from repro.core.tg_linear import eval_tg_small, min_linear, tglinear
+from repro.engine.facts import FactStore
 
 # Paper Example 1 (Section 2)
 P1_TEXT = """
@@ -127,6 +128,15 @@ LINEAR_CASES = {
 
 def prog(text: str):
     return parse_program(text)
+
+
+def repartitioned(spark, base, n: int, program) -> FactStore:
+    """``base`` as a store whose tables have ``n`` partitions each."""
+    store = FactStore.from_facts(spark, base)
+    store.register_arities(program.arities)
+    for pred in {p for p, _ in base}:
+        store.set(pred, store.df(pred).repartition(n))
+    return store
 
 
 def assert_null_patterns_cover(program, base) -> None:

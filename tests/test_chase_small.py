@@ -1,4 +1,6 @@
 """Driver-side chase reference implementation tests (paper Sections 2–3)."""
+import re
+
 import pytest
 
 from repro.core.chase_small import chase
@@ -113,6 +115,22 @@ def test_equivalent_results_restricted_vs_skolem_existential():
     r1, r2 = chase(p, base), chase(p, base, variant="skolem")
     assert instances_equivalent(r1.facts, r2.facts)
     assert entails(r1.facts, {("D", ("a",)), ("D", ("b",))})
+
+
+def test_restricted_nulls_name_their_trigger():
+    # same input, same facts, null names included, however often it runs
+    p = parse_program("n(X) -> E(X,Z)\nE(X,Y), m(Y,W) -> G(X,W)\nE(X,Y) -> F(Y,V)")
+    base = {("n", ("a",)), ("n", ("b",)), ("m", ("c", "d"))}
+    r1, r2 = chase(p, base), chase(p, base)
+    assert r1.facts == r2.facts
+    assert len({t for _, args in r1.facts for t in args if is_null(t)}) == 4
+
+
+@pytest.mark.parametrize("variant", ["restrictd", "null", "datalog", ""])
+def test_unknown_variant_rejected(variant):
+    p = parse_program("n(X) -> E(X,Z)")
+    with pytest.raises(ValueError, match=re.escape(repr(variant))):
+        chase(p, {("n", ("a",))}, variant=variant)
 
 
 def test_empty_base():

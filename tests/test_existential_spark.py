@@ -11,6 +11,8 @@ from repro.core.unify import instances_equivalent
 from repro.engine.chase import naive_chase, seminaive_chase
 from repro.engine.facts import FactStore
 
+from tests.helpers import repartitioned
+
 CASES = {
     "invent_join": (
         """
@@ -88,6 +90,26 @@ def test_skolem_chase_equivalent_too(runs, name):
     ref_idb = {f for f in ref.facts if f[0] in p.idb}
     base = {f for f in ref.facts if f[0] in p.edb}
     assert instances_equivalent(nv | base, ref_idb | base)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_skolem_chase_same_facts_as_driver(runs, name):
+    # one recipe names skolem terms on Spark and on the driver
+    p, _, _, nv, _ = runs[name]
+    ref = chase(p, set(CASES[name][1]), variant="skolem")
+    assert nv == {f for f in ref.facts if f[0] in p.idb}
+
+
+def test_tgmat_independent_of_partitioning(spark):
+    # same base in 1 and in 3 partitions: same facts, null names included
+    text, base = CASES["invent_join"]
+    p = parse_program(text)
+    got = [
+        tgmat(spark, p, repartitioned(spark, base, n, p), use_min=False,
+              use_ruleexec=False).store.to_fact_set(p.idb)
+        for n in (1, 3)
+    ]
+    assert got[0] == got[1] and any(is_null(t) for _, args in got[0] for t in args)
 
 
 def test_restricted_blocks_invention_on_spark(runs):

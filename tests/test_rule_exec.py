@@ -3,6 +3,7 @@
 The TPC-H-lite tables from synth_data double as EDB relations so every
 binding/projection path is checked against plain SQL.
 """
+import re
 import time
 import uuid
 
@@ -12,6 +13,7 @@ from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.core.rules import parse_rule
+from repro.core.terms import labelled_null, skolem
 from repro.engine import rule_exec
 from repro.engine.facts import FactStore, df_from_facts
 from repro.engine.rule_exec import (
@@ -93,7 +95,7 @@ def jobs_submitted(spark, fn) -> list[int]:
 @pytest.mark.parametrize(
     "text,variant",
     [
-        ("p(X), q(X,Y) -> Q(Y)", "datalog"),
+        ("p(X), q(X,Y) -> Q(Y)", "skolem"),
         ("p(X), q(X,Y) -> Q(Y,Z)", "skolem"),
         ("p(X), q(X,Y) -> Q(Y,Z)", "restricted"),
         ("p(X), q(X,Y) -> Q(Y,Z)", "null"),
@@ -108,6 +110,14 @@ def test_execute_rule_submits_no_job(spark, text, variant):
     assert jobs_submitted(
         spark, lambda: execute_rule(rule, [p, q], existing=existing, variant=variant)
     ) == []
+
+
+@pytest.mark.parametrize("variant", ["restrictd", "datalog", "Null", ""])
+def test_execute_rule_rejects_unknown_variant(spark, variant):
+    p = df_from_facts(spark, [("a",)], 1)
+    for text in ("p(X) -> Q(X)", "p(X) -> Q(X,Z)"):
+        with pytest.raises(ValueError, match=re.escape(repr(variant))):
+            execute_rule(parse_rule(text, "r"), [p], existing=p, variant=variant)
 
 
 def test_atom_bindings_constant_filter(spark):
@@ -143,16 +153,18 @@ def test_skolem_projection_deterministic(spark):
     e1 = execute_rule(rule, [df], variant="skolem").head_df.collect()
     e2 = execute_rule(rule, [df], variant="skolem").head_df.collect()
     assert sorted(map(tuple, e1)) == sorted(map(tuple, e2))
-    assert all(r["a1"].startswith("_:sk_") for r in e1)
-    assert len({r["a1"] for r in e1}) == 2  # one skolem per frontier value
+    # one skolem per frontier value, named as on the driver
+    assert {r["a1"] for r in e1} == {skolem("r", "Z", (x,)) for x in "ab"}
 
 
 def test_null_projection_fresh_per_row(spark):
     df = df_from_facts(spark, [("a",), ("b",)], 1)
     rule = parse_rule("p(X) -> Q(X,Z)", "r")
     rows = execute_rule(rule, [df], variant="null", null_tag="t").head_df.collect()
-    nulls = [r["a1"] for r in rows]
-    assert len(set(nulls)) == 2 and all(n.startswith("_:nt_") for n in nulls)
+    # one null per trigger, named as on the driver
+    assert sorted(r["a1"] for r in rows) == sorted(
+        labelled_null("t", "Z", (x,)) for x in "ab"
+    )
 
 
 def test_repeated_existential_var_in_head(spark):

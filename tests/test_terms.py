@@ -1,4 +1,6 @@
 """Term taxonomy unit tests."""
+import hashlib
+
 import pytest
 
 from repro.core import terms
@@ -6,22 +8,45 @@ from repro.core import terms
 
 @pytest.mark.parametrize("t", ["X", "Y1", "Zvar", "ABC"])
 def test_vars(t):
-    assert terms.is_var(t) and not terms.is_null(t) and not terms.is_const(t)
+    assert terms.is_var(t) and not terms.is_null(t)
 
 
 @pytest.mark.parametrize("t", ["c1", "red", "u0d1p2", "42", "⊥0", "felix"])
 def test_consts(t):
-    assert terms.is_const(t) and not terms.is_var(t) and not terms.is_null(t)
+    # a constant is what is neither a variable nor a null
+    assert not terms.is_var(t) and not terms.is_null(t)
 
 
 @pytest.mark.parametrize("t", ["_:n0", "_:n12_Z_7", "_:sk_r1_Z_abc"])
 def test_nulls(t):
-    assert terms.is_null(t) and not terms.is_var(t) and not terms.is_const(t)
+    assert terms.is_null(t) and not terms.is_var(t)
 
 
-def test_fresh_null_unique():
-    a, b = terms.fresh_null(), terms.fresh_null()
-    assert a != b and terms.is_null(a) and terms.is_null(b)
+def test_labelled_null_deterministic():
+    a = terms.labelled_null("tg_n3", "Z", ("a", "b"))
+    assert a == terms.labelled_null("tg_n3", "Z", ("a", "b"))
+    assert a.startswith("_:ntg_n3_Z_") and terms.is_null(a)
+
+
+@pytest.mark.parametrize(
+    "k1,k2",
+    [
+        (("t1", "Z", ("a",)), ("t2", "Z", ("a",))),
+        (("t1", "Z", ("a",)), ("t1", "W", ("a",))),
+        (("t1", "Z", ("a",)), ("t1", "Z", ("b",))),
+        (("t1", "Z", ("a", "b")), ("t1", "Z", ("b", "a"))),
+        (("t1", "Z", ("a", "b")), ("t1", "Z", ("ab",))),
+    ],
+)
+def test_labelled_null_distinct(k1, k2):
+    assert terms.labelled_null(*k1) != terms.labelled_null(*k2)
+
+
+def test_invented_recipe():
+    # the digest Spark's sha2(concat_ws(KEY_SEP, ...), 256) computes
+    digest = hashlib.sha256("a␟b".encode()).hexdigest()
+    assert terms.skolem("r1", "Z", ("a", "b")) == "_:sk_r1_Z_" + digest
+    assert terms.labelled_null("t", "Z", ("a", "b")) == "_:nt_Z_" + digest
 
 
 def test_skolem_deterministic():

@@ -3,14 +3,14 @@ derive the same facts as the chase baselines, and the collective-cleaning
 pass must remove exactly the redundant duplicates/nulls."""
 import pytest
 
-from repro.core.chase_small import chase
+from repro.core.chase_small import chase, instantiate_head
 from repro.core.tg_exec import eval_tg_spark, subsume_nulls
-from repro.core.tg_linear import min_linear, tglinear
-from repro.core.terms import fresh_null, is_null
+from repro.core.tg_linear import eval_tg_small, min_linear, tglinear
+from repro.core.terms import is_null
 from repro.core.unify import homomorphisms, instances_equivalent
 from repro.engine.facts import FactStore, df_from_facts
 
-from tests.helpers import LINEAR_CASES, assert_null_patterns_cover, prog
+from tests.helpers import LINEAR_CASES, assert_null_patterns_cover, prog, repartitioned
 
 
 def null_free(facts):
@@ -46,6 +46,25 @@ def test_null_free_facts_exact(runs, name):
     )
 
 
+@pytest.mark.parametrize("name", sorted(LINEAR_CASES))
+def test_cleaned_facts_among_driver_facts(runs, name):
+    # Spark and the driver name every null alike, so no masking is needed
+    p, g, *_, cleaned, _ = runs[name]
+    driver = set().union(*eval_tg_small(g, set(LINEAR_CASES[name][1])).values())
+    assert cleaned.to_fact_set(p.idb) <= driver
+
+
+def test_eval_tg_spark_independent_of_partitioning(spark):
+    # same base in 1 and in 3 partitions: same facts, null names included
+    text, base = LINEAR_CASES["existential"]
+    p = prog(text)
+    g = min_linear(tglinear(p), p)
+    stores = [eval_tg_spark(spark, g, p, repartitioned(spark, base, n, p))[0]
+              for n in (1, 3)]
+    got = [s.to_fact_set(p.idb) for s in stores]
+    assert got[0] == got[1] and any(is_null(t) for _, args in got[0] for t in args)
+
+
 def raw_node_rows(g, base) -> int:
     """Definition 5 under bag semantics on the driver: the rows of all node
     instances before cleaning, one per trigger of a linear rule."""
@@ -56,9 +75,7 @@ def raw_node_rows(g, base) -> int:
         rows[node] = []
         for f in src:
             for h in homomorphisms(rule.body, [f]):
-                args = [fresh_null() if t in rule.existentials else h.get(t, t)
-                        for t in rule.head.args]
-                rows[node].append((rule.head.pred, tuple(args)))
+                rows[node].append(instantiate_head(rule, h, f"tg_n{node.nid}"))
     return sum(len(r) for r in rows.values())
 
 
